@@ -15,7 +15,6 @@ from .consensus import (
     equilibrium_residual,
     estimator_derivative,
     initial_estimator_state,
-    theta,
     theta_stack,
 )
 from .engine import (
@@ -23,21 +22,19 @@ from .engine import (
     SimConfig,
     SimMetrics,
     SimResult,
-    closed_loop_derivative,
+    closed_loop_rhs,
     consensus_error,
     decision_rates,
     run,
 )
 from .graphs import (
     Graph,
-    SpectralSummary,
     is_connected,
     lambda_bound,
     laplacian,
     path,
     random_connected_graph,
     ring,
-    spectral_summary,
 )
 from .oracles import (
     CentralizedTrajectory,
@@ -57,6 +54,7 @@ from .problems import (
     make_dispatch_instance,
     quadratic_hessian,
     sigma,
+    theta,
     with_frozen_decisions,
 )
 from .triggers import (
@@ -66,9 +64,6 @@ from .triggers import (
     Periodic,
     SchemeValidation,
     TriggerScheme,
-    measurement_error,
-    should_trigger,
-    threshold,
     validate_scheme,
     zeno_bound_constants,
     zeno_lower_bound,

@@ -27,6 +27,7 @@ Recognized keys:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -114,9 +115,12 @@ def parse_raw(text: str) -> dict[str, tuple[str, int]]:
 
 def _number(value: str, lineno: int, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"line {lineno}: malformed number for {key!r}: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
+    return number
 
 
 def _int(value: str, lineno: int, key: str) -> int:
@@ -387,11 +391,6 @@ def scenario_schemes(sc: ScenarioConfig, n_agents: int) -> tuple[TriggerScheme, 
 def to_sim_config(sc: ScenarioConfig) -> SimConfig:
     problem = scenario_problem(sc)
     graph = scenario_graph(sc)
-    if graph.n_nodes != problem.n_agents:
-        raise ConfigError(
-            f"topology has {graph.n_nodes} nodes but the scenario has "
-            f"{problem.n_agents} agents"
-        )
     try:
         return SimConfig(
             problem=problem,

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, laplacian
-from .problems import AggregativeProblem, LocalObjective, sigma
+from .problems import AggregativeProblem, sigma
 
 __all__ = [
     "EstimatorState",
-    "theta",
     "theta_stack",
     "initial_estimator_state",
     "estimator_derivative",
@@ -43,33 +42,15 @@ class EstimatorState:
     agent's measurement error to zero.
     """
 
-    eta: np.ndarray             # (N, 2m)
-    w: np.ndarray               # (N, 2m)
-    eta_hat: np.ndarray         # (N, 2m)
-    w_hat: np.ndarray           # (N, 2m)
-    last_trigger_time: np.ndarray  # (N,)
-
-
-def theta(obj: LocalObjective, x_i: np.ndarray, eta_i1: np.ndarray) -> np.ndarray:
-    """Local estimator input: phi_i(x_i) stacked over grad_sigma f_i(x_i, eta_i1)."""
-    x_i = np.asarray(x_i, dtype=float)
-    eta_i1 = np.asarray(eta_i1, dtype=float)
-    top = obj.phi(x_i)
-    bottom = obj.grad_sigma(x_i, eta_i1)
-    if top.shape != bottom.shape:
-        raise ValueError("phi and grad_sigma must both return m-vectors")
-    return np.concatenate([top, bottom])
+    eta: np.ndarray      # (N, 2m)
+    w: np.ndarray        # (N, 2m)
+    eta_hat: np.ndarray  # (N, 2m)
+    w_hat: np.ndarray    # (N, 2m)
 
 
 def theta_stack(problem: AggregativeProblem, x: np.ndarray, eta1: np.ndarray) -> np.ndarray:
     """All agents' estimator inputs as an (N, 2m) array."""
-    if problem.der_params is not None:
-        return np.column_stack((x, problem.der_params.price_slope * x))
-    rows = [
-        theta(obj, x_i, eta1[i])
-        for i, (obj, x_i) in enumerate(zip(problem.agents, problem.blocks(x)))
-    ]
-    return np.vstack(rows)
+    return problem.network.theta(x, eta1)
 
 
 def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> EstimatorState:
@@ -79,8 +60,7 @@ def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> Esti
     and all measurement errors start at zero.
     """
     x0 = np.asarray(x0, dtype=float)
-    n_agents = problem.n_agents
-    zeros_m = np.zeros((n_agents, problem.m))
+    zeros_m = np.zeros((problem.n_agents, problem.m))
     eta = theta_stack(problem, x0, zeros_m)
     w = np.zeros_like(eta)
     return EstimatorState(
@@ -88,7 +68,6 @@ def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> Esti
         w=w,
         eta_hat=eta.copy(),
         w_hat=w.copy(),
-        last_trigger_time=np.zeros(n_agents),
     )
 
 
@@ -140,11 +119,7 @@ def equilibrium_residual(
     m = problem.m
     lap = laplacian(g)
     eta1 = eta[:, :m]
-    eta2 = eta[:, m:]
-    parts = []
-    for i, (obj, x_i) in enumerate(zip(problem.agents, problem.blocks(x))):
-        parts.append(obj.grad_x(x_i, eta1[i]) + obj.jac_phi(x_i).T @ eta2[i])
-    res_x = np.concatenate(parts)
+    res_x = problem.network.drive(x, eta1, eta[:, m:])
     thetas = theta_stack(problem, x, eta1)
     res_eta = -eta - lap @ eta - lap @ w + thetas
     res_w = lap @ eta

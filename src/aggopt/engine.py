@@ -8,9 +8,11 @@ while the PI consensus estimator runs on the fast time scale 1/delta and
 exchanges information only through last-broadcast values. One fixed-step
 loop advances everything:
 
-  1. at each grid time, evaluate every agent's trigger; agents that fire
-     overwrite their broadcast with the current state (the error resets);
-  2. advance (x, eta, w) one 4th-order step with broadcasts held constant;
+  1. at each grid time, evaluate every agent's trigger (the rule lives in
+     :class:`aggopt.triggers.TriggerRule`); agents that fire overwrite their
+     broadcast with the current state (the error resets);
+  2. advance (x, eta, w) one 4th-order step of :func:`closed_loop_rhs`
+     with broadcasts held constant;
   3. record every ``output_stride``-th grid point.
 
 Triggers are evaluated at grid points only, so detected event times are
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,17 +33,17 @@ from .consensus import (
     initial_estimator_state,
     theta_stack,
 )
-from .graphs import Graph, lambda_bound, laplacian
+from .graphs import Graph, is_connected, lambda_bound, laplacian
 from .integrate import DivergenceError, ensure_finite, rk4_step
 from .oracles import fit_decay_rate, solve_kkt_quadratic
-from .problems import AggregativeProblem, _der_arrays
-from .triggers import Continuous, Event, EventLog, Periodic, TriggerScheme, validate_scheme
+from .problems import AggregativeProblem
+from .triggers import EventLog, TriggerRule, TriggerScheme, validate_scheme
 
 __all__ = [
     "SimConfig",
     "SimMetrics",
     "SimResult",
-    "closed_loop_derivative",
+    "closed_loop_rhs",
     "decision_rates",
     "run",
     "consensus_error",
@@ -73,8 +76,10 @@ class SimConfig:
                 f"graph has {self.graph.n_nodes} nodes but the problem has "
                 f"{self.problem.n_agents} agents"
             )
-        if self.delta <= 0 or self.h <= 0 or self.t_end <= 0:
-            raise ValueError("delta, h, and t_end must be positive")
+        if not all(0 < v < np.inf for v in (self.delta, self.h, self.t_end)):
+            raise ValueError("delta, h, and t_end must be positive and finite")
+        if not is_connected(self.graph):
+            raise ValueError("the communication graph must be connected")
         if len(self.schemes) != self.problem.n_agents:
             raise ValueError("one trigger scheme per agent is required")
         if self.output_stride < 1:
@@ -82,6 +87,8 @@ class SimConfig:
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.problem.dim,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({self.problem.dim},)")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must be finite")
 
 
 @dataclass
@@ -110,43 +117,38 @@ class SimResult:
     metrics: SimMetrics
 
 
+def _split_state(y: np.ndarray, n_agents: int, two_m: int) -> tuple[np.ndarray, ...]:
+    """Views ``(x, eta, w)`` of the flat state (layout in :class:`SimConfig`)."""
+    size = n_agents * two_m
+    n = y.size - 2 * size
+    return y[:n], y[n : n + size].reshape(n_agents, two_m), y[n + size :].reshape(n_agents, two_m)
+
+
 def decision_rates(
     problem: AggregativeProblem, x: np.ndarray, eta1: np.ndarray, eta2: np.ndarray
 ) -> np.ndarray:
     """Stacked decision derivatives driven by the agents' own estimates."""
-    dp = problem.der_params
-    if dp is not None:
-        a, b, _ = _der_arrays(dp)
-        grad = 2.0 * a * x + b - dp.price_intercept + dp.price_slope * eta1[:, 0]
-        return -(grad + eta2[:, 0])
-    parts = []
-    for i, (obj, x_i) in enumerate(zip(problem.agents, problem.blocks(x))):
-        parts.append(-(obj.grad_x(x_i, eta1[i]) + obj.jac_phi(x_i).T @ eta2[i]))
-    return np.concatenate(parts)
+    return -problem.network.drive(x, eta1, eta2)
 
 
-def closed_loop_derivative(
+def closed_loop_rhs(
     problem: AggregativeProblem,
     lap: np.ndarray,
     delta: float,
-    x: np.ndarray,
-    eta: np.ndarray,
-    w: np.ndarray,
     eta_hat: np.ndarray,
     w_hat: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Derivatives of (x, eta, w) with broadcasts held fixed."""
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(eta)) and np.all(np.isfinite(w))):
-        raise ValueError("non-finite state passed to the closed-loop derivative")
+    t: float,
+    y: np.ndarray,
+) -> np.ndarray:
+    """Derivative of the flat state ``y`` with broadcasts held fixed. ``t`` is
+    unused but lets ``rk4_step`` integrate it with the other arguments bound."""
     m = problem.m
-    eta1, eta2 = eta[:, :m], eta[:, m:]
-    x_dot = decision_rates(problem, x, eta1, eta2)
+    x, eta, w = _split_state(y, *eta_hat.shape)
+    eta1 = eta[:, :m]
+    x_dot = decision_rates(problem, x, eta1, eta[:, m:])
     thetas = theta_stack(problem, x, eta1)
     eta_dot, w_dot = estimator_derivative(lap, eta, w, eta_hat, w_hat, thetas, delta)
-    return x_dot, eta_dot, w_dot
-
-
-_CONTINUOUS, _PERIODIC, _EVENT = 0, 1, 2
+    return np.concatenate([x_dot, eta_dot.ravel(), w_dot.ravel()])
 
 
 def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
@@ -176,37 +178,11 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     h, delta, stride = cfg.h, cfg.delta, cfg.output_stride
     n_steps = max(1, int(round(cfg.t_end / h)))
 
-    # Per-agent scheme tables for the vectorized trigger pass.
-    kinds = np.empty(n_agents, dtype=int)
-    beta1 = np.zeros(n_agents)
-    beta2 = np.zeros(n_agents)
-    period = np.full(n_agents, np.inf)
-    for i, scheme in enumerate(cfg.schemes):
-        if isinstance(scheme, Continuous):
-            kinds[i] = _CONTINUOUS
-        elif isinstance(scheme, Periodic):
-            kinds[i] = _PERIODIC
-            period[i] = scheme.period
-        elif isinstance(scheme, Event):
-            kinds[i] = _EVENT
-            beta1[i] = scheme.beta1
-            beta2[i] = scheme.beta2
-        else:
-            raise TypeError(f"unknown trigger scheme {scheme!r}")
-    next_due = period.copy()  # every agent already broadcast at t = 0
+    rule = TriggerRule(cfg.schemes)
     event_times: list[list[float]] = [[0.0] for _ in range(n_agents)]
 
     y = np.concatenate([x0, state.eta.ravel(), state.w.ravel()])
-
-    def rhs(t: float, flat: np.ndarray) -> np.ndarray:
-        x_ = flat[:n]
-        eta_ = flat[n : n + two_m * n_agents].reshape(n_agents, two_m)
-        w_ = flat[n + two_m * n_agents :].reshape(n_agents, two_m)
-        eta1 = eta_[:, :m]
-        x_dot = decision_rates(problem, x_, eta1, eta_[:, m:])
-        thetas = theta_stack(problem, x_, eta1)
-        eta_dot, w_dot = estimator_derivative(lap, eta_, w_, eta_hat, w_hat, thetas, delta)
-        return np.concatenate([x_dot, eta_dot.ravel(), w_dot.ravel()])
+    rhs = partial(closed_loop_rhs, problem, lap, delta, eta_hat, w_hat)
 
     n_records = n_steps // stride + 1
     rec_t = np.empty(n_records)
@@ -218,27 +194,16 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
 
     def record(slot: int, t: float, flat: np.ndarray) -> None:
         rec_t[slot] = t
-        rec_x[slot] = flat[:n]
-        rec_eta[slot] = flat[n : n + two_m * n_agents].reshape(n_agents, two_m)
-        rec_w[slot] = flat[n + two_m * n_agents :].reshape(n_agents, two_m)
+        rec_x[slot], rec_eta[slot], rec_w[slot] = _split_state(flat, n_agents, two_m)
         rec_eta_hat[slot] = eta_hat
         rec_w_hat[slot] = w_hat
 
     record(0, 0.0, y)
-    mask = np.empty(n_agents, dtype=bool)
     for k in range(n_steps):
         t = k * h
         if k > 0:
-            eta_now = y[n : n + two_m * n_agents].reshape(n_agents, two_m)
-            w_now = y[n + two_m * n_agents :].reshape(n_agents, two_m)
-            err = np.linalg.norm(
-                np.concatenate([eta_hat - eta_now, w_hat - w_now], axis=1), axis=1
-            )
-            mask[:] = kinds == _CONTINUOUS
-            due = (kinds == _PERIODIC) & (t >= next_due - 1e-9)
-            mask |= due
-            next_due[due] += period[due]
-            mask |= (kinds == _EVENT) & (err >= beta1 * np.exp(-beta2 * t))
+            _, eta_now, w_now = _split_state(y, n_agents, two_m)
+            mask = rule.fire(t, eta_now, w_now, eta_hat, w_hat)
             if mask.any():
                 eta_hat[mask] = eta_now[mask]
                 w_hat[mask] = w_now[mask]

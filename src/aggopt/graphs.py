@@ -10,14 +10,12 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "SpectralSummary",
     "path",
     "ring",
     "laplacian",
     "is_connected",
     "lambda_bound",
     "random_connected_graph",
-    "spectral_summary",
 ]
 
 
@@ -60,15 +58,6 @@ class Graph:
             elif j == node:
                 out.append(i)
         return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Laplacian, connectivity flag, and the trigger-decay bound lambda."""
-
-    laplacian: np.ndarray
-    is_connected: bool
-    lambda_bound: float
 
 
 def path(n: int) -> Graph:
@@ -150,12 +139,3 @@ def random_connected_graph(n: int, seed: int) -> Graph:
             if (i, j) not in edges and rng.random() < 0.2:
                 edges.add((i, j))
     return Graph(n, frozenset(edges))
-
-
-def spectral_summary(g: Graph) -> SpectralSummary:
-    lap = laplacian(g)
-    return SpectralSummary(
-        laplacian=lap,
-        is_connected=is_connected(g),
-        lambda_bound=lambda_bound(lap),
-    )

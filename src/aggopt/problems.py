@@ -10,12 +10,17 @@ cost and sells at a price that falls linearly with the average output:
 
 with price intercept c0 and slope c1. For that family the global cost is a
 strictly convex quadratic whose Hessian is ``2 diag(a) + (2 c1 / N) ones``.
+
+Every network-wide evaluation goes through ``AggregativeProblem.network``,
+the one place that picks the vectorized :class:`DispatchFamily` (for
+problems with dispatch coefficients) or the :class:`PerAgent` loop over the
+local objectives. Both give identical results on dispatch instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,6 +29,9 @@ __all__ = [
     "LocalObjective",
     "DerParameters",
     "AggregativeProblem",
+    "DispatchFamily",
+    "PerAgent",
+    "theta",
     "sigma",
     "global_cost",
     "global_gradient",
@@ -86,9 +94,98 @@ class DerParameters:
         return len(self.a)
 
 
-@lru_cache(maxsize=None)
-def _der_arrays(params: DerParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (np.array(params.a), np.array(params.b), np.array(params.d))
+def theta(obj: LocalObjective, x_i: np.ndarray, eta_i1: np.ndarray) -> np.ndarray:
+    """Local estimator input: phi_i(x_i) stacked over grad_sigma f_i(x_i, eta_i1)."""
+    x_i = np.asarray(x_i, dtype=float)
+    eta_i1 = np.asarray(eta_i1, dtype=float)
+    top = obj.phi(x_i)
+    bottom = obj.grad_sigma(x_i, eta_i1)
+    if top.shape != bottom.shape:
+        raise ValueError("phi and grad_sigma must both return m-vectors")
+    return np.concatenate([top, bottom])
+
+
+class DispatchFamily:
+    """All units of a dispatch instance at once, as vector expressions in
+    the coefficients (phi is the identity and m = 1).
+
+    Both evaluators provide ``aggregate`` (sigma), ``cost`` and ``gradient``
+    of the global cost, ``theta`` (the (N, 2m) estimator inputs) and
+    ``drive`` (stacked grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2).
+    """
+
+    def __init__(self, params: DerParameters) -> None:
+        self.a = np.array(params.a)
+        self.b = np.array(params.b)
+        self.d = np.array(params.d)
+        self.c0 = params.price_intercept
+        self.c1 = params.price_slope
+
+    def aggregate(self, x: Vector) -> Vector:
+        return np.array([x.mean()])
+
+    def cost(self, x: Vector) -> float:
+        price = self.c0 - self.c1 * self.aggregate(x)[0]
+        return float(self.a @ x**2 + self.b @ x + self.d.sum() - price * x.sum())
+
+    def gradient(self, x: Vector) -> Vector:
+        # phi is the identity, so the aggregate-sensitivity term collapses
+        # to price_slope * mean(x) = price_slope * s.
+        return 2.0 * self.a * x + self.b - self.c0 + 2.0 * self.c1 * self.aggregate(x)[0]
+
+    def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
+        return np.column_stack((x, self.c1 * x))
+
+    def drive(self, x: Vector, eta1: np.ndarray, eta2: np.ndarray) -> Vector:
+        return 2.0 * self.a * x + self.b - self.c0 + self.c1 * eta1[:, 0] + eta2[:, 0]
+
+
+class PerAgent:
+    """Any problem, one :class:`LocalObjective` call per agent; agent i owns
+    the dim_x entries of the stacked decisions after those of agents < i."""
+
+    def __init__(self, agents: tuple[LocalObjective, ...], m: int) -> None:
+        self.agents = agents
+        self.m = m
+        offs = np.cumsum([0] + [obj.dim_x for obj in agents])
+        self.slices = [slice(int(lo), int(hi)) for lo, hi in zip(offs[:-1], offs[1:])]
+
+    def blocks(self, x: Vector) -> list[Vector]:
+        return [x[sl] for sl in self.slices]
+
+    def aggregate(self, x: Vector) -> Vector:
+        total = np.zeros(self.m)
+        for obj, x_i in zip(self.agents, self.blocks(x)):
+            total += obj.phi(x_i)
+        return total / len(self.agents)
+
+    def cost(self, x: Vector) -> float:
+        s = self.aggregate(x)
+        return float(sum(obj.cost(x_i, s) for obj, x_i in zip(self.agents, self.blocks(x))))
+
+    def gradient(self, x: Vector) -> Vector:
+        s = self.aggregate(x)
+        xs = self.blocks(x)
+        total_gs = np.zeros(self.m)
+        for obj, x_i in zip(self.agents, xs):
+            total_gs += obj.grad_sigma(x_i, s)
+        parts = []
+        for obj, x_i in zip(self.agents, xs):
+            parts.append(obj.grad_x(x_i, s) + obj.jac_phi(x_i).T @ total_gs / len(self.agents))
+        return np.concatenate(parts)
+
+    def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
+        rows = [
+            theta(obj, x_i, eta1[i])
+            for i, (obj, x_i) in enumerate(zip(self.agents, self.blocks(x)))
+        ]
+        return np.vstack(rows)
+
+    def drive(self, x: Vector, eta1: np.ndarray, eta2: np.ndarray) -> Vector:
+        parts = []
+        for i, (obj, x_i) in enumerate(zip(self.agents, self.blocks(x))):
+            parts.append(obj.grad_x(x_i, eta1[i]) + obj.jac_phi(x_i).T @ eta2[i])
+        return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -98,8 +195,8 @@ class AggregativeProblem:
     ``rate_metadata`` carries the pair (kappa, lipschitz) derived from the
     extreme Hessian eigenvalues of quadratic instances; it is reporting
     metadata only and never steers the dynamics. ``der_params`` is set by
-    the dispatch factories and unlocks vectorized evaluation of the whole
-    network in the simulation inner loop.
+    the dispatch factories; :attr:`network` reads it to choose vectorized
+    evaluation of the whole network over the per-agent loop.
     """
 
     agents: tuple[LocalObjective, ...]
@@ -121,16 +218,12 @@ class AggregativeProblem:
     def dim(self) -> int:
         return sum(obj.dim_x for obj in self.agents)
 
-    @property
-    def block_offsets(self) -> tuple[int, ...]:
-        offs = [0]
-        for obj in self.agents:
-            offs.append(offs[-1] + obj.dim_x)
-        return tuple(offs)
-
-    def blocks(self, x: Vector) -> list[Vector]:
-        offs = self.block_offsets
-        return [x[offs[i] : offs[i + 1]] for i in range(self.n_agents)]
+    @cached_property
+    def network(self) -> DispatchFamily | PerAgent:
+        """Evaluator of all agents at once, chosen from the problem itself."""
+        if self.der_params is not None:
+            return DispatchFamily(self.der_params)
+        return PerAgent(self.agents, self.m)
 
 
 def _check_dim(problem: AggregativeProblem, x: Vector) -> Vector:
@@ -142,25 +235,12 @@ def _check_dim(problem: AggregativeProblem, x: Vector) -> Vector:
 
 def sigma(problem: AggregativeProblem, x: Vector) -> Vector:
     """Network aggregate (1/N) sum_i phi_i(x_i), an m-vector."""
-    x = _check_dim(problem, x)
-    if problem.der_params is not None:
-        return np.array([x.mean()])
-    total = np.zeros(problem.m)
-    for obj, x_i in zip(problem.agents, problem.blocks(x)):
-        total += obj.phi(x_i)
-    return total / problem.n_agents
+    return problem.network.aggregate(_check_dim(problem, x))
 
 
 def global_cost(problem: AggregativeProblem, x: Vector) -> float:
     """sum_i f_i(x_i, sigma(x))."""
-    x = _check_dim(problem, x)
-    s = sigma(problem, x)
-    if problem.der_params is not None:
-        p = problem.der_params
-        a, b, d = _der_arrays(p)
-        price = p.price_intercept - p.price_slope * s[0]
-        return float(a @ x**2 + b @ x + d.sum() - price * x.sum())
-    return float(sum(obj.cost(x_i, s) for obj, x_i in zip(problem.agents, problem.blocks(x))))
+    return problem.network.cost(_check_dim(problem, x))
 
 
 def global_gradient(problem: AggregativeProblem, x: Vector) -> Vector:
@@ -169,27 +249,12 @@ def global_gradient(problem: AggregativeProblem, x: Vector) -> Vector:
     Block i is grad_x f_i(x_i, s) + (1/N) jac_phi_i(x_i)^T sum_j grad_sigma f_j(x_j, s)
     evaluated at s = sigma(x); at the optimum every block vanishes.
     """
-    x = _check_dim(problem, x)
-    s = sigma(problem, x)
-    if problem.der_params is not None:
-        p = problem.der_params
-        a, b, _ = _der_arrays(p)
-        # phi is the identity, so the aggregate-sensitivity term collapses
-        # to price_slope * mean(x) = price_slope * s.
-        return 2.0 * a * x + b - p.price_intercept + 2.0 * p.price_slope * s[0]
-    xs = problem.blocks(x)
-    total_gs = np.zeros(problem.m)
-    for obj, x_i in zip(problem.agents, xs):
-        total_gs += obj.grad_sigma(x_i, s)
-    parts = []
-    for obj, x_i in zip(problem.agents, xs):
-        parts.append(obj.grad_x(x_i, s) + obj.jac_phi(x_i).T @ total_gs / problem.n_agents)
-    return np.concatenate(parts)
+    return problem.network.gradient(_check_dim(problem, x))
 
 
 def quadratic_hessian(params: DerParameters) -> np.ndarray:
     """Exact global-cost Hessian of a dispatch instance."""
-    a, _, _ = _der_arrays(params)
+    a = np.array(params.a)
     n = params.n_units
     return 2.0 * np.diag(a) + (2.0 * params.price_slope / n) * np.ones((n, n))
 

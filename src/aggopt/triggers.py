@@ -9,8 +9,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .consensus import EstimatorState
-
 __all__ = [
     "Continuous",
     "Periodic",
@@ -18,9 +16,7 @@ __all__ = [
     "TriggerScheme",
     "EventLog",
     "SchemeValidation",
-    "measurement_error",
-    "threshold",
-    "should_trigger",
+    "TriggerRule",
     "zeno_lower_bound",
     "validate_scheme",
     "zeno_bound_constants",
@@ -76,19 +72,41 @@ class EventLog:
         return out
 
 
-def measurement_error(state: EstimatorState) -> np.ndarray:
-    """Per-agent norm of the stacked broadcast-minus-true vector."""
-    diff = np.concatenate([state.eta_hat - state.eta, state.w_hat - state.w], axis=1)
-    return np.linalg.norm(diff, axis=1)
+class TriggerRule:
+    """Every agent's broadcast rule at once, for one run of validated schemes:
+    it keeps the periodic agents' next due times, which start one period
+    after the broadcast every agent makes at t = 0."""
 
+    def __init__(self, schemes: Sequence[TriggerScheme]) -> None:
+        self.continuous = np.array([isinstance(s, Continuous) for s in schemes])
+        self.periodic = np.array([isinstance(s, Periodic) for s in schemes])
+        self.event = np.array([isinstance(s, Event) for s in schemes])
+        self.period = np.array([getattr(s, "period", np.inf) for s in schemes], dtype=float)
+        self.beta1 = np.array([getattr(s, "beta1", 0.0) for s in schemes], dtype=float)
+        self.beta2 = np.array([getattr(s, "beta2", 0.0) for s in schemes], dtype=float)
+        self.next_due = self.period.copy()
 
-def threshold(t: float, beta1: float, beta2: float) -> float:
-    return beta1 * math.exp(-beta2 * t)
+    def threshold(self, t: float) -> np.ndarray:
+        """Per-agent event threshold beta1 * exp(-beta2 * t); 0 for other agents."""
+        return self.beta1 * np.exp(-self.beta2 * t)
 
+    def fire(
+        self, t: float, eta: np.ndarray, w: np.ndarray, eta_hat: np.ndarray, w_hat: np.ndarray
+    ) -> np.ndarray:
+        """Mask of the agents that broadcast at grid time t.
 
-def should_trigger(e_norm: float, t: float, beta1: float, beta2: float) -> bool:
-    """Inclusive comparison against the decaying threshold."""
-    return bool(e_norm >= threshold(t, beta1, beta2))
+        Continuous agents always fire. A periodic agent fires once t reaches
+        its due time, which then advances by one period. An event agent fires
+        when the norm of its stacked broadcast-minus-true error reaches the
+        threshold (inclusive comparison).
+        """
+        err = np.linalg.norm(np.concatenate([eta_hat - eta, w_hat - w], axis=1), axis=1)
+        mask = self.continuous.copy()
+        due = self.periodic & (t >= self.next_due - 1e-9)
+        mask |= due
+        self.next_due[due] += self.period[due]
+        mask |= self.event & (err >= self.threshold(t))
+        return mask
 
 
 def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float, tol: float = 1e-12) -> float:
@@ -127,18 +145,18 @@ class SchemeValidation:
 def validate_scheme(schemes: Sequence[TriggerScheme], lam: float) -> SchemeValidation:
     """Check per-agent trigger parameters.
 
-    Nonpositive beta or period values are hard errors. An event decay rate
-    beta2 >= lam only voids the convergence guarantee, so it produces a
-    warning and the run stays permitted.
+    Unknown scheme types and nonpositive or NaN beta and period values are
+    hard errors. An event decay rate beta2 >= lam only voids the convergence
+    guarantee, so it produces a warning and the run stays permitted.
     """
     warnings: list[str] = []
     passed = True
     for i, scheme in enumerate(schemes):
         if isinstance(scheme, Periodic):
-            if scheme.period <= 0:
+            if not (scheme.period > 0):
                 raise ValueError(f"agent {i}: period must be positive")
         elif isinstance(scheme, Event):
-            if scheme.beta1 <= 0 or scheme.beta2 <= 0:
+            if not (scheme.beta1 > 0 and scheme.beta2 > 0):
                 raise ValueError(f"agent {i}: beta1 and beta2 must be positive")
             if scheme.beta2 >= lam:
                 passed = False
@@ -146,6 +164,8 @@ def validate_scheme(schemes: Sequence[TriggerScheme], lam: float) -> SchemeValid
                     f"agent {i}: beta2={scheme.beta2:g} is not below the spectral "
                     f"bound {lam:g}; estimator convergence is no longer guaranteed"
                 )
+        elif not isinstance(scheme, Continuous):
+            raise TypeError(f"unknown trigger scheme {scheme!r}")
     return SchemeValidation(passed=passed, lam=lam, warnings=tuple(warnings))
 
 

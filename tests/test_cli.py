@@ -95,6 +95,39 @@ def test_usage_errors_exit_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "lines, key, line",
+    [
+        ("x0 = nan, 6, 3, 8", "x0", 2),
+        ("tend = inf", "tend", 2),
+        ("delta = nan", "delta", 2),
+        ("beta1 = nan", "beta1", 2),
+        ("trigger = periodic\nperiod = nan", "period", 3),
+    ],
+    ids=["x0", "tend", "delta", "beta1", "period"],
+)
+def test_nonfinite_config_values_exit_one(tmp_path, capsys, lines, key, line):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"scenario = der4\n{lines}\n")
+    code = run_cli([
+        "run", "--scenario", f"file({config})", "--output", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and f"'{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_disconnected_topology_exits_one(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("scenario = der4\ntopology = edges\nedges = 0-1, 2-3\n")
+    code = run_cli([
+        "run", "--scenario", f"file({config})", "--output", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert "connected" in capsys.readouterr().err
+
+
 def test_divergence_exits_two(tmp_path):
     out = tmp_path / "boom"
     code = run_cli([

@@ -71,7 +71,6 @@ def test_initial_estimator_state_convention(der4):
     assert np.array_equal(state.w, np.zeros((4, 2)))
     assert np.array_equal(state.eta_hat, state.eta)
     assert np.array_equal(state.w_hat, state.w)
-    assert np.array_equal(state.last_trigger_time, np.zeros(4))
 
 
 def test_estimator_derivative_isolated_agent_at_rest():

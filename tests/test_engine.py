@@ -7,10 +7,11 @@ from aggopt import (
     Continuous,
     DivergenceError,
     Event,
+    Graph,
     Periodic,
     SimConfig,
     build_equilibrium,
-    closed_loop_derivative,
+    closed_loop_rhs,
     consensus_error,
     fit_decay_rate,
     global_gradient,
@@ -39,9 +40,19 @@ def event_config(der4, ring4, **overrides):
     return SimConfig(**base)
 
 
+def rhs_parts(problem, lap, delta, x, eta, w, eta_hat, w_hat):
+    """closed_loop_rhs on the flat state built from (x, eta, w), split back
+    into (x_dot, eta_dot, w_dot)."""
+    flat = closed_loop_rhs(
+        problem, lap, delta, eta_hat, w_hat, 0.0, np.concatenate([x, eta.ravel(), w.ravel()])
+    )
+    n, k = x.size, eta.size
+    return flat[:n], flat[n : n + k].reshape(eta.shape), flat[n + k :].reshape(w.shape)
+
+
 def test_derivative_zero_at_equilibrium(der4, ring4, der4_x_star):
     eta_star, w_star = build_equilibrium(der4, ring4, der4_x_star)
-    x_dot, eta_dot, w_dot = closed_loop_derivative(
+    x_dot, eta_dot, w_dot = rhs_parts(
         der4, laplacian(ring4), 0.1, der4_x_star, eta_star, w_star,
         eta_star.copy(), w_star.copy(),
     )
@@ -59,7 +70,7 @@ def test_single_agent_reduction_matches_centralized_dynamics():
         x = np.array([x_val])
         s = sigma(problem, x)
         eta = theta_stack(problem, x, s.reshape(1, 1))
-        x_dot, _, _ = closed_loop_derivative(
+        x_dot, _, _ = rhs_parts(
             problem, lap, 0.1, x, eta, np.zeros((1, 2)), eta.copy(), np.zeros((1, 2))
         )
         assert x_dot[0] == pytest.approx(-global_gradient(problem, x)[0], abs=1e-12)
@@ -70,19 +81,15 @@ def test_initial_derivative_regression(der4, ring4):
     lap = laplacian(ring4)
     eta0 = theta_stack(der4, X0, np.zeros((4, 1)))
     w0 = np.zeros((4, 2))
-    x_dot, eta_dot, w_dot = closed_loop_derivative(
-        der4, lap, 0.1, X0, eta0, w0, eta0.copy(), w0.copy()
-    )
+    x_dot, eta_dot, w_dot = rhs_parts(der4, lap, 0.1, X0, eta0, w0, eta0.copy(), w0.copy())
     assert np.allclose(x_dot, [174.0, 179.2, 181.8, 171.4], atol=1e-12)
     assert np.allclose(eta_dot, -(lap @ eta0) / 0.1, atol=1e-12)
     assert np.allclose(w_dot, (lap @ eta0) / 0.1, atol=1e-12)
 
 
-def test_derivative_rejects_nonfinite_state(der4, ring4):
-    eta = np.zeros((4, 2))
-    bad_x = np.array([np.nan, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        closed_loop_derivative(der4, laplacian(ring4), 0.1, bad_x, eta, eta, eta, eta)
+def test_sim_config_rejects_nonfinite_x0(der4, ring4):
+    with pytest.raises(ValueError, match="x0"):
+        event_config(der4, ring4, x0=np.array([np.nan, 6.0, 3.0, 8.0]))
 
 
 def test_config_validation(der4, ring4):
@@ -96,6 +103,11 @@ def test_config_validation(der4, ring4):
         event_config(der4, ring4, output_stride=0)
     with pytest.raises(ValueError):
         event_config(der4, ring4, delta=-0.1)
+    for bad in (dict(delta=np.nan), dict(h=np.nan), dict(t_end=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            event_config(der4, ring4, **bad)
+    with pytest.raises(ValueError, match="connected"):
+        event_config(der4, Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_run_basic_structure(der4, ring4, der4_x_star):

@@ -14,6 +14,7 @@ from aggopt import (
     sigma,
     with_frozen_decisions,
 )
+from aggopt.problems import DispatchFamily, PerAgent
 
 
 def single_unit(a=1.0, b=0.0, d=0.0):
@@ -154,6 +155,28 @@ def test_vectorized_path_matches_per_agent_path(problem):
         assert np.allclose(sigma(problem, x), sigma(generic, x), atol=1e-12)
         assert global_cost(problem, x) == pytest.approx(global_cost(generic, x), abs=1e-9)
         assert np.allclose(global_gradient(problem, x), global_gradient(generic, x), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 4, 15])
+def test_dispatch_family_matches_per_agent(n):
+    problem = make_dispatch_instance(n, 3)
+    fast, reference = problem.network, strip_fast_path(problem).network
+    assert isinstance(fast, DispatchFamily) and isinstance(reference, PerAgent)
+    rng = np.random.default_rng(n)
+
+    def close(value, expected):
+        expected = np.asarray(expected)
+        return np.linalg.norm(np.asarray(value) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    for _ in range(10):
+        x = rng.uniform(-30, 30, n)
+        eta1 = rng.uniform(-30, 30, (n, 1))
+        eta2 = rng.uniform(-30, 30, (n, 1))
+        assert close(fast.aggregate(x), reference.aggregate(x))
+        assert close(fast.cost(x), reference.cost(x))
+        assert close(fast.gradient(x), reference.gradient(x))
+        assert close(fast.theta(x, eta1), reference.theta(x, eta1))
+        assert close(fast.drive(x, eta1, eta2), reference.drive(x, eta1, eta2))
 
 
 def test_local_objective_derivatives_match_finite_differences(der4):

@@ -10,57 +10,56 @@ from aggopt import (
     EventLog,
     Periodic,
     laplacian,
-    measurement_error,
     ring,
-    should_trigger,
-    threshold,
     validate_scheme,
     zeno_bound_constants,
     zeno_lower_bound,
 )
-from aggopt.consensus import EstimatorState
-
-
-def make_state(eta, w, eta_hat, w_hat):
-    n = eta.shape[0]
-    return EstimatorState(
-        eta=eta, w=w, eta_hat=eta_hat, w_hat=w_hat, last_trigger_time=np.zeros(n)
-    )
+from aggopt.triggers import TriggerRule
 
 
 def test_measurement_error_zero_after_broadcast():
     eta = np.random.default_rng(0).normal(size=(3, 2))
     w = np.random.default_rng(1).normal(size=(3, 2))
-    state = make_state(eta, w, eta.copy(), w.copy())
-    assert np.array_equal(measurement_error(state), np.zeros(3))
+    rule = TriggerRule((Event(1e-300, 0.1),) * 3)
+    assert not rule.fire(0.0, eta, w, eta.copy(), w.copy()).any()
 
 
 def test_measurement_error_three_four_five():
+    # the error is the norm of the stacked (eta_hat - eta, w_hat - w) row: 5
     eta = np.zeros((1, 2))
     w = np.zeros((1, 2))
-    state = make_state(eta, w, eta + np.array([[3.0, 0.0]]), w + np.array([[4.0, 0.0]]))
-    assert measurement_error(state)[0] == pytest.approx(5.0)
+    eta_hat, w_hat = eta + np.array([[3.0, 0.0]]), w + np.array([[4.0, 0.0]])
+    assert TriggerRule((Event(5.0, 0.1),)).fire(0.0, eta, w, eta_hat, w_hat)[0]
+    assert not TriggerRule((Event(5.0 + 1e-9, 0.1),)).fire(0.0, eta, w, eta_hat, w_hat)[0]
 
 
 def test_should_trigger_zero_error_never_fires():
+    zero = np.zeros((1, 2))
+    rule = TriggerRule((Event(10.0, 0.1),))
     for t in (0.0, 1.0, 50.0):
-        assert not should_trigger(0.0, t, 10.0, 0.1)
+        assert not rule.fire(t, zero, zero, zero, zero)[0]
 
 
 def test_should_trigger_inclusive_boundary():
-    assert should_trigger(10.0, 0.0, 10.0, 0.1)
+    zero = np.zeros((1, 2))
+    eta_hat = np.array([[10.0, 0.0]])
+    assert TriggerRule((Event(10.0, 0.1),)).fire(0.0, zero, zero, eta_hat, zero)[0]
 
 
 def test_should_trigger_decayed_threshold():
     # threshold(100) = 10 * exp(-1) ~= 3.6788
-    assert threshold(100.0, 10.0, 0.01) == pytest.approx(10.0 * math.exp(-1.0))
-    assert should_trigger(3.68, 100.0, 10.0, 0.01)
-    assert not should_trigger(3.67, 100.0, 10.0, 0.01)
+    rule = TriggerRule((Event(10.0, 0.01),))
+    assert rule.threshold(100.0)[0] == pytest.approx(10.0 * math.exp(-1.0))
+    zero = np.zeros((1, 2))
+    assert rule.fire(100.0, zero, zero, np.array([[3.68, 0.0]]), zero)[0]
+    assert not rule.fire(100.0, zero, zero, np.array([[3.67, 0.0]]), zero)[0]
 
 
 def test_threshold_strictly_decreasing():
+    rule = TriggerRule((Event(8.0, 0.15),))
     grid = np.linspace(0.0, 30.0, 200)
-    values = [threshold(t, 8.0, 0.15) for t in grid]
+    values = [rule.threshold(t)[0] for t in grid]
     assert np.all(np.diff(values) < 0)
 
 
