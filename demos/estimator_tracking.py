@@ -15,6 +15,7 @@ from aggopt import (
     Continuous,
     DerParameters,
     SimConfig,
+    broadcast_coupling,
     estimator_derivative,
     from_der_parameters,
     initial_estimator_state,
@@ -56,7 +57,7 @@ thetas = theta_stack(frozen2, np.array([5.0, 6.0]), state.eta[:, :1])
 def rhs(t, z):
     eta = z[:4].reshape(2, 2)
     w = z[4:].reshape(2, 2)
-    eta_dot, w_dot = estimator_derivative(lap, eta, w, eta, w, thetas, delta)
+    eta_dot, w_dot = estimator_derivative(eta, thetas, broadcast_coupling(lap, eta, w), delta)
     return np.concatenate([eta_dot.ravel(), w_dot.ravel()])
 
 

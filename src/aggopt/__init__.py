@@ -11,6 +11,7 @@ event-triggered broadcasts with exponentially decaying thresholds.
 
 from .consensus import (
     EstimatorState,
+    broadcast_coupling,
     build_equilibrium,
     equilibrium_residual,
     estimator_derivative,

@@ -47,9 +47,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _flag_entries(args: argparse.Namespace) -> dict[str, tuple[str, int]]:
-    """Map CLI flags onto config keys; flags override file entries."""
-    entries: dict[str, tuple[str, int]] = {}
+def _flag_entries(args: argparse.Namespace) -> dict[str, tuple[str, str]]:
+    """Map CLI flags onto config keys, each located at its flag in error
+    messages; flags override file entries."""
+    entries: dict[str, tuple[str, str]] = {}
     for key, value in (
         ("trigger", args.trigger),
         ("delta", args.delta),
@@ -59,7 +60,7 @@ def _flag_entries(args: argparse.Namespace) -> dict[str, tuple[str, int]]:
         ("seed", args.seed),
     ):
         if value is not None:
-            entries[key] = (str(value), 0)
+            entries[key] = (str(value), f"--{key}")
     return entries
 
 
@@ -71,7 +72,7 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
         text = Path(mo.group(1)).read_text()
         entries = parse_raw(text)
     else:
-        entries = {"scenario": (args.scenario, 0)}
+        entries = {"scenario": (args.scenario, "--scenario")}
     entries.update(_flag_entries(args))
     return resolve_config(entries)
 

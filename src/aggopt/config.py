@@ -2,7 +2,8 @@
 
 The hand-rolled parser exists because the error contract matters more than
 the syntax: unknown keys are reported together by name, and malformed
-numbers are reported with their line. Lists are comma separated; blank
+numbers are reported with their line (or, for a value given as a command
+line flag, with the flag). Lists are comma separated; blank
 lines and ``#`` comments are ignored. ``dump_config`` emits the canonical
 form, which re-parses to an identical configuration.
 
@@ -91,9 +92,12 @@ _KNOWN_KEYS = {
 }
 
 
-def parse_raw(text: str) -> dict[str, tuple[str, int]]:
-    """Split config text into {key: (value, line_number)}; checks key names."""
-    entries: dict[str, tuple[str, int]] = {}
+def parse_raw(text: str) -> dict[str, tuple[str, str]]:
+    """Split config text into {key: (value, where)}; checks key names.
+
+    ``where`` ("line 3") locates the value in error messages; entries built
+    from command line flags carry the flag ("--tend") instead."""
+    entries: dict[str, tuple[str, str]] = {}
     unknown: list[str] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -107,40 +111,40 @@ def parse_raw(text: str) -> dict[str, tuple[str, int]]:
             continue
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = (value, lineno)
+        entries[key] = (value, f"line {lineno}")
     if unknown:
         raise ConfigError("unknown keys: " + ", ".join(unknown))
     return entries
 
 
-def _number(value: str, lineno: int, key: str) -> float:
+def _number(value: str, where: str, key: str) -> float:
     try:
         number = float(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: malformed number for {key!r}: {value!r}") from None
+        raise ConfigError(f"{where}: malformed number for {key!r}: {value!r}") from None
     if not math.isfinite(number):
-        raise ConfigError(f"line {lineno}: {key!r} must be finite, got {value!r}")
+        raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
     return number
 
 
-def _int(value: str, lineno: int, key: str) -> int:
+def _int(value: str, where: str, key: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: malformed integer for {key!r}: {value!r}") from None
+        raise ConfigError(f"{where}: malformed integer for {key!r}: {value!r}") from None
 
 
-def _number_list(value: str, lineno: int, key: str) -> tuple[float, ...]:
-    return tuple(_number(part.strip(), lineno, key) for part in value.split(","))
+def _number_list(value: str, where: str, key: str) -> tuple[float, ...]:
+    return tuple(_number(part.strip(), where, key) for part in value.split(","))
 
 
-def _edge_list(value: str, lineno: int) -> tuple[tuple[int, int], ...]:
+def _edge_list(value: str, where: str) -> tuple[tuple[int, int], ...]:
     edges = []
     for token in value.split(","):
         token = token.strip()
         mo = re.fullmatch(r"(\d+)\s*-\s*(\d+)", token)
         if mo is None:
-            raise ConfigError(f"line {lineno}: malformed edge {token!r}; expected 'i-j'")
+            raise ConfigError(f"{where}: malformed edge {token!r}; expected 'i-j'")
         edges.append((int(mo.group(1)), int(mo.group(2))))
     return tuple(edges)
 
@@ -150,13 +154,10 @@ def parse_config(text: str) -> ScenarioConfig:
     return resolve_config(parse_raw(text))
 
 
-def resolve_config(entries: dict[str, tuple[str, int]]) -> ScenarioConfig:
-    def get(key: str) -> tuple[str, int] | None:
-        return entries.get(key)
-
+def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
     if "scenario" not in entries:
         raise ConfigError("scenario required")
-    scen_text, scen_line = entries["scenario"]
+    scen_text, scen_where = entries["scenario"]
 
     dispatch_n = dispatch_seed = None
     coefficients = None
@@ -184,7 +185,7 @@ def resolve_config(entries: dict[str, tuple[str, int]]) -> ScenarioConfig:
         mo = re.fullmatch(r"dispatch\(\s*(\d+)\s*,\s*(-?\d+)\s*\)", scen_text)
         if mo is None:
             raise ConfigError(
-                f"line {scen_line}: scenario must be der4, dispatch(n, seed), or custom; "
+                f"{scen_where}: scenario must be der4, dispatch(n, seed), or custom; "
                 f"got {scen_text!r}"
             )
         scenario = "dispatch"
@@ -205,7 +206,7 @@ def resolve_config(entries: dict[str, tuple[str, int]]) -> ScenarioConfig:
     topology_n = topology_seed = None
     edges = None
     if "topology" in entries:
-        topo_text, topo_line = entries["topology"]
+        topo_text, topo_where = entries["topology"]
         if topo_text == "ring4":
             topology = "ring4"
         elif topo_text == "edges":
@@ -217,7 +218,7 @@ def resolve_config(entries: dict[str, tuple[str, int]]) -> ScenarioConfig:
             mo = re.fullmatch(r"random\(\s*(\d+)\s*,\s*(-?\d+)\s*\)", topo_text)
             if mo is None:
                 raise ConfigError(
-                    f"line {topo_line}: topology must be ring4, random(n, seed), or edges; "
+                    f"{topo_where}: topology must be ring4, random(n, seed), or edges; "
                     f"got {topo_text!r}"
                 )
             topology = "random"
@@ -236,9 +237,9 @@ def resolve_config(entries: dict[str, tuple[str, int]]) -> ScenarioConfig:
     beta1 = beta2 = None
     period = None
     if "trigger" in entries:
-        trig_text, trig_line = entries["trigger"]
+        trig_text, trig_where = entries["trigger"]
     else:
-        trig_text, trig_line = "event", 0
+        trig_text, trig_where = "event", "default"
     if trig_text == "event":
         trigger = "event"
     elif trig_text == "continuous":
@@ -249,11 +250,11 @@ def resolve_config(entries: dict[str, tuple[str, int]]) -> ScenarioConfig:
         mo = re.fullmatch(r"periodic\(\s*([^)]+?)\s*\)", trig_text)
         if mo is None:
             raise ConfigError(
-                f"line {trig_line}: trigger must be event, periodic, periodic(T), or "
+                f"{trig_where}: trigger must be event, periodic, periodic(T), or "
                 f"continuous; got {trig_text!r}"
             )
         trigger = "periodic"
-        period = _number(mo.group(1), trig_line, "trigger")
+        period = _number(mo.group(1), trig_where, "trigger")
 
     def broadcast(values: tuple[float, ...], key: str) -> tuple[float, ...]:
         if len(values) == 1:

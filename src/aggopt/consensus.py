@@ -25,6 +25,7 @@ __all__ = [
     "EstimatorState",
     "theta_stack",
     "initial_estimator_state",
+    "broadcast_coupling",
     "estimator_derivative",
     "equilibrium_residual",
     "build_equilibrium",
@@ -71,13 +72,21 @@ def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> Esti
     )
 
 
+def broadcast_coupling(
+    lap: np.ndarray, eta_hat: np.ndarray, w_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor sums of the PI estimator, ``(L @ eta_hat, L @ w_hat)``.
+
+    Row i is sum_j in N_i (hat_i - hat_j). They read broadcast values only,
+    so they stay fixed until some agent broadcasts again.
+    """
+    return lap @ eta_hat, lap @ w_hat
+
+
 def estimator_derivative(
-    lap: np.ndarray,
     eta: np.ndarray,
-    w: np.ndarray,
-    eta_hat: np.ndarray,
-    w_hat: np.ndarray,
     thetas: np.ndarray,
+    coupling: tuple[np.ndarray, np.ndarray],
     delta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (eta_dot, w_dot) of the PI estimator.
@@ -86,13 +95,12 @@ def estimator_derivative(
                         - sum_j in N_i (hat_w_i - hat_w_j) + Theta_i
     delta * w_dot_i   =  sum_j in N_i (hat_eta_i - hat_eta_j)
 
-    The neighbor sums use broadcast values only, never true states; with L
-    the graph Laplacian they are the rows of L @ hats.
+    The neighbor sums use broadcast values only, never true states;
+    ``coupling`` is their pair from :func:`broadcast_coupling`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    coupling_eta = lap @ eta_hat
-    coupling_w = lap @ w_hat
+    coupling_eta, coupling_w = coupling
     eta_dot = (-eta - coupling_eta - coupling_w + thetas) / delta
     w_dot = coupling_eta / delta
     return eta_dot, w_dot

@@ -12,7 +12,9 @@ loop advances everything:
      :class:`aggopt.triggers.TriggerRule`); agents that fire overwrite their
      broadcast with the current state (the error resets);
   2. advance (x, eta, w) one 4th-order step of :func:`closed_loop_rhs`
-     with broadcasts held constant;
+     with broadcasts held constant. The neighbor coupling reads broadcasts
+     only, so it is computed once when some agent broadcasts and held in
+     between, instead of in every stage of every step;
   3. record every ``output_stride``-th grid point.
 
 Triggers are evaluated at grid points only, so detected event times are
@@ -29,6 +31,7 @@ from functools import partial
 import numpy as np
 
 from .consensus import (
+    broadcast_coupling,
     estimator_derivative,
     initial_estimator_state,
     theta_stack,
@@ -124,6 +127,15 @@ def _split_state(y: np.ndarray, n_agents: int, two_m: int) -> tuple[np.ndarray, 
     return y[:n], y[n : n + size].reshape(n_agents, two_m), y[n + size :].reshape(n_agents, two_m)
 
 
+def _state_entry(k: int, n_agents: int, two_m: int, n: int) -> str:
+    """Name of flat-state index k: ``x_k``, or eta/w with agent and component."""
+    if k < n:
+        return f"x_{k}"
+    block, rest = divmod(k - n, n_agents * two_m)
+    agent, component = divmod(rest, two_m)
+    return f"{('eta', 'w')[block]}[agent {agent}, component {component}]"
+
+
 def decision_rates(
     problem: AggregativeProblem, x: np.ndarray, eta1: np.ndarray, eta2: np.ndarray
 ) -> np.ndarray:
@@ -133,21 +145,21 @@ def decision_rates(
 
 def closed_loop_rhs(
     problem: AggregativeProblem,
-    lap: np.ndarray,
     delta: float,
-    eta_hat: np.ndarray,
-    w_hat: np.ndarray,
+    coupling: tuple[np.ndarray, np.ndarray],
     t: float,
     y: np.ndarray,
 ) -> np.ndarray:
-    """Derivative of the flat state ``y`` with broadcasts held fixed. ``t`` is
-    unused but lets ``rk4_step`` integrate it with the other arguments bound."""
+    """Derivative of the flat state ``y`` with broadcasts held fixed, which
+    ``coupling`` (from :func:`aggopt.consensus.broadcast_coupling`) carries.
+    ``t`` is unused but lets ``rk4_step`` integrate it with the other
+    arguments bound."""
     m = problem.m
-    x, eta, w = _split_state(y, *eta_hat.shape)
+    x, eta, _ = _split_state(y, *coupling[0].shape)
     eta1 = eta[:, :m]
     x_dot = decision_rates(problem, x, eta1, eta[:, m:])
     thetas = theta_stack(problem, x, eta1)
-    eta_dot, w_dot = estimator_derivative(lap, eta, w, eta_hat, w_hat, thetas, delta)
+    eta_dot, w_dot = estimator_derivative(eta, thetas, coupling, delta)
     return np.concatenate([x_dot, eta_dot.ravel(), w_dot.ravel()])
 
 
@@ -179,10 +191,11 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     n_steps = max(1, int(round(cfg.t_end / h)))
 
     rule = TriggerRule(cfg.schemes)
+    entry = partial(_state_entry, n_agents=n_agents, two_m=two_m, n=n)
     event_times: list[list[float]] = [[0.0] for _ in range(n_agents)]
 
     y = np.concatenate([x0, state.eta.ravel(), state.w.ravel()])
-    rhs = partial(closed_loop_rhs, problem, lap, delta, eta_hat, w_hat)
+    rhs = partial(closed_loop_rhs, problem, delta, broadcast_coupling(lap, eta_hat, w_hat))
 
     n_records = n_steps // stride + 1
     rec_t = np.empty(n_records)
@@ -207,10 +220,13 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
             if mask.any():
                 eta_hat[mask] = eta_now[mask]
                 w_hat[mask] = w_now[mask]
+                rhs = partial(
+                    closed_loop_rhs, problem, delta, broadcast_coupling(lap, eta_hat, w_hat)
+                )
                 for i in np.flatnonzero(mask):
                     event_times[i].append(t)
         y = rk4_step(rhs, t, y, h)
-        ensure_finite(y, t + h, h)
+        ensure_finite(y, t + h, h, entry)
         if (k + 1) % stride == 0:
             record((k + 1) // stride, (k + 1) * h, y)
 

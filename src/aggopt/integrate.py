@@ -28,8 +28,16 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarr
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def ensure_finite(y: np.ndarray, t: float, h: float) -> None:
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > STATE_LIMIT:
+def ensure_finite(y: np.ndarray, t: float, h: float, name: Callable[[int], str]) -> None:
+    """Raise :class:`DivergenceError` unless every entry of ``y`` is finite
+    and within ``STATE_LIMIT``; ``name`` labels flat index k in the message.
+
+    One reduction per call: NaN fails the comparison too. The offending
+    entry is located only after the check has failed.
+    """
+    if not (np.abs(y).max() <= STATE_LIMIT):
+        k = int(np.flatnonzero(~(np.abs(y) <= STATE_LIMIT))[0])
         raise DivergenceError(
-            f"state diverged at t={t:.6g} (step h={h:.6g}); reduce the step size"
+            f"state diverged at t={t:.6g} (step h={h:.6g}): {name(k)} = {y[k]:.6g}; "
+            "reduce the step size"
         )

@@ -120,6 +120,9 @@ class DispatchFamily:
         self.d = np.array(params.d)
         self.c0 = params.price_intercept
         self.c1 = params.price_slope
+        self.two_a = 2.0 * self.a
+        # theta's two columns are phi(x) = x and grad_sigma = c1 * x
+        self.theta_scale = np.array([1.0, self.c1])
 
     def aggregate(self, x: Vector) -> Vector:
         return np.array([x.mean()])
@@ -131,13 +134,13 @@ class DispatchFamily:
     def gradient(self, x: Vector) -> Vector:
         # phi is the identity, so the aggregate-sensitivity term collapses
         # to price_slope * mean(x) = price_slope * s.
-        return 2.0 * self.a * x + self.b - self.c0 + 2.0 * self.c1 * self.aggregate(x)[0]
+        return self.two_a * x + self.b - self.c0 + 2.0 * self.c1 * self.aggregate(x)[0]
 
     def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
-        return np.column_stack((x, self.c1 * x))
+        return x[:, None] * self.theta_scale
 
     def drive(self, x: Vector, eta1: np.ndarray, eta2: np.ndarray) -> Vector:
-        return 2.0 * self.a * x + self.b - self.c0 + self.c1 * eta1[:, 0] + eta2[:, 0]
+        return self.two_a * x + self.b - self.c0 + self.c1 * eta1[:, 0] + eta2[:, 0]
 
 
 class PerAgent:

@@ -85,6 +85,8 @@ class TriggerRule:
         self.beta1 = np.array([getattr(s, "beta1", 0.0) for s in schemes], dtype=float)
         self.beta2 = np.array([getattr(s, "beta2", 0.0) for s in schemes], dtype=float)
         self.next_due = self.period.copy()
+        self.any_periodic = bool(self.periodic.any())
+        self.any_event = bool(self.event.any())
 
     def threshold(self, t: float) -> np.ndarray:
         """Per-agent event threshold beta1 * exp(-beta2 * t); 0 for other agents."""
@@ -100,12 +102,15 @@ class TriggerRule:
         when the norm of its stacked broadcast-minus-true error reaches the
         threshold (inclusive comparison).
         """
-        err = np.linalg.norm(np.concatenate([eta_hat - eta, w_hat - w], axis=1), axis=1)
         mask = self.continuous.copy()
-        due = self.periodic & (t >= self.next_due - 1e-9)
-        mask |= due
-        self.next_due[due] += self.period[due]
-        mask |= self.event & (err >= self.threshold(t))
+        if self.any_periodic:
+            due = self.periodic & (t >= self.next_due - 1e-9)
+            mask |= due
+            self.next_due[due] += self.period[due]
+        if self.any_event:
+            d = np.concatenate([eta_hat - eta, w_hat - w], axis=1)
+            err = np.sqrt((d * d).sum(axis=1))
+            mask |= self.event & (err >= self.threshold(t))
         return mask
 
 
@@ -145,19 +150,19 @@ class SchemeValidation:
 def validate_scheme(schemes: Sequence[TriggerScheme], lam: float) -> SchemeValidation:
     """Check per-agent trigger parameters.
 
-    Unknown scheme types and nonpositive or NaN beta and period values are
-    hard errors. An event decay rate beta2 >= lam only voids the convergence
+    Unknown scheme types and beta and period values that are not positive
+    and finite (NaN included) are hard errors. An event decay rate beta2 >= lam only voids the convergence
     guarantee, so it produces a warning and the run stays permitted.
     """
     warnings: list[str] = []
     passed = True
     for i, scheme in enumerate(schemes):
         if isinstance(scheme, Periodic):
-            if not (scheme.period > 0):
-                raise ValueError(f"agent {i}: period must be positive")
+            if not (0 < scheme.period < np.inf):
+                raise ValueError(f"agent {i}: period must be positive and finite")
         elif isinstance(scheme, Event):
-            if not (scheme.beta1 > 0 and scheme.beta2 > 0):
-                raise ValueError(f"agent {i}: beta1 and beta2 must be positive")
+            if not (0 < scheme.beta1 < np.inf and 0 < scheme.beta2 < np.inf):
+                raise ValueError(f"agent {i}: beta1 and beta2 must be positive and finite")
             if scheme.beta2 >= lam:
                 passed = False
                 warnings.append(

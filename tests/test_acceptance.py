@@ -14,6 +14,7 @@ from aggopt import (
     Continuous,
     Event,
     SimConfig,
+    broadcast_coupling,
     build_equilibrium,
     centralized_flow,
     consensus_error,
@@ -154,7 +155,7 @@ def test_criterion_3_estimator_consensus(der4, ring4):
     def rhs(t, z):
         eta = z[:4].reshape(2, 2)
         w = z[4:].reshape(2, 2)
-        eta_dot, w_dot = estimator_derivative(lap, eta, w, eta, w, thetas, delta)
+        eta_dot, w_dot = estimator_derivative(eta, thetas, broadcast_coupling(lap, eta, w), delta)
         return np.concatenate([eta_dot.ravel(), w_dot.ravel()])
 
     lap2 = np.kron(lap, np.eye(2))

@@ -96,25 +96,29 @@ def test_usage_errors_exit_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "lines, key, line",
+    "lines, flags, key, where",
     [
-        ("x0 = nan, 6, 3, 8", "x0", 2),
-        ("tend = inf", "tend", 2),
-        ("delta = nan", "delta", 2),
-        ("beta1 = nan", "beta1", 2),
-        ("trigger = periodic\nperiod = nan", "period", 3),
+        ("x0 = nan, 6, 3, 8", [], "x0", "line 2"),
+        ("tend = inf", [], "tend", "line 2"),
+        ("delta = nan", [], "delta", "line 2"),
+        ("beta1 = nan", [], "beta1", "line 2"),
+        ("trigger = periodic\nperiod = nan", [], "period", "line 3"),
+        ("", ["--tend", "inf"], "tend", "--tend"),
+        ("", ["--delta", "nan"], "delta", "--delta"),
+        ("", ["--trigger", "periodic(inf)"], "trigger", "--trigger"),
     ],
-    ids=["x0", "tend", "delta", "beta1", "period"],
+    ids=["x0", "tend", "delta", "beta1", "period", "flag_tend", "flag_delta", "flag_trigger"],
 )
-def test_nonfinite_config_values_exit_one(tmp_path, capsys, lines, key, line):
+def test_nonfinite_config_values_exit_one(tmp_path, capsys, lines, flags, key, where):
     config = tmp_path / "scenario.cfg"
     config.write_text(f"scenario = der4\n{lines}\n")
     code = run_cli([
-        "run", "--scenario", f"file({config})", "--output", str(tmp_path / "out"),
+        "run", "--scenario", f"file({config})", "--output", str(tmp_path / "out"), *flags,
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"line {line}" in err and f"'{key}'" in err
+    assert f"{where}: '{key}' must be finite" in err
+    assert "line 0" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 
 from aggopt import (
     DerParameters,
+    broadcast_coupling,
     build_equilibrium,
     equilibrium_residual,
     estimator_derivative,
@@ -78,7 +79,8 @@ def test_estimator_derivative_isolated_agent_at_rest():
     theta_val = np.array([[3.0, -2.0]])
     eta = theta_val.copy()
     w = np.array([[0.4, 0.1]])
-    eta_dot, w_dot = estimator_derivative(lap, eta, w, eta.copy(), w.copy(), theta_val, 0.1)
+    coupling = broadcast_coupling(lap, eta.copy(), w.copy())
+    eta_dot, w_dot = estimator_derivative(eta, theta_val, coupling, 0.1)
     assert np.allclose(eta_dot, 0.0) and np.allclose(w_dot, 0.0)
 
 
@@ -88,7 +90,8 @@ def test_estimator_derivative_consensus_equilibrium(ring4, der4):
     eta = np.tile(value, (4, 1))
     w = np.zeros((4, 2))
     thetas = np.tile(value, (4, 1))
-    eta_dot, w_dot = estimator_derivative(lap, eta, w, eta.copy(), w.copy(), thetas, 0.1)
+    coupling = broadcast_coupling(lap, eta.copy(), w.copy())
+    eta_dot, w_dot = estimator_derivative(eta, thetas, coupling, 0.1)
     assert np.allclose(eta_dot, 0.0) and np.allclose(w_dot, 0.0)
 
 
@@ -96,7 +99,7 @@ def test_estimator_derivative_requires_positive_delta(ring4):
     lap = laplacian(ring4)
     z = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        estimator_derivative(lap, z, z, z, z, z, 0.0)
+        estimator_derivative(z, z, broadcast_coupling(lap, z, z), 0.0)
 
 
 def test_two_node_linear_system_matches_matrix_exponential():
@@ -116,7 +119,7 @@ def test_two_node_linear_system_matches_matrix_exponential():
     def rhs(t, z):
         eta = z[:4].reshape(2, 2)
         w = z[4:].reshape(2, 2)
-        eta_dot, w_dot = estimator_derivative(lap, eta, w, eta, w, thetas, delta)
+        eta_dot, w_dot = estimator_derivative(eta, thetas, broadcast_coupling(lap, eta, w), delta)
         return np.concatenate([eta_dot.ravel(), w_dot.ravel()])
 
     lap2 = np.kron(lap, np.eye(2))

@@ -10,11 +10,15 @@ from aggopt import (
     Graph,
     Periodic,
     SimConfig,
+    broadcast_coupling,
     build_equilibrium,
     closed_loop_rhs,
     consensus_error,
+    decision_rates,
+    estimator_derivative,
     fit_decay_rate,
     global_gradient,
+    initial_estimator_state,
     laplacian,
     make_der_instance,
     path,
@@ -23,7 +27,10 @@ from aggopt import (
     theta_stack,
     with_frozen_decisions,
 )
+from aggopt.engine import _state_entry
+from aggopt.integrate import rk4_step
 from aggopt.problems import AggregativeProblem, DerParameters, from_der_parameters
+from aggopt.triggers import TriggerRule
 
 X0 = np.array([5.0, 6.0, 3.0, 8.0])
 EVENT_SCHEMES = tuple(
@@ -44,7 +51,8 @@ def rhs_parts(problem, lap, delta, x, eta, w, eta_hat, w_hat):
     """closed_loop_rhs on the flat state built from (x, eta, w), split back
     into (x_dot, eta_dot, w_dot)."""
     flat = closed_loop_rhs(
-        problem, lap, delta, eta_hat, w_hat, 0.0, np.concatenate([x, eta.ravel(), w.ravel()])
+        problem, delta, broadcast_coupling(lap, eta_hat, w_hat), 0.0,
+        np.concatenate([x, eta.ravel(), w.ravel()]),
     )
     n, k = x.size, eta.size
     return flat[:n], flat[n : n + k].reshape(eta.shape), flat[n + k :].reshape(w.shape)
@@ -306,8 +314,79 @@ def test_generic_path_matches_vectorized_run(der4, ring4, der4_x_star):
 
 def test_run_divergence_raises(der4, ring4):
     cfg = event_config(der4, ring4, h=5.0, t_end=100.0, delta=0.1)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(
+        DivergenceError, match=r"at t=10 \(step h=5\): eta\[agent 1, component 0\] = 1\.4"
+    ):
         run(cfg, x_star=None)
+
+
+def test_state_entry_names():
+    # flat layout [x (3) | eta (2 agents x 2) | w (2 agents x 2)]
+    names = [_state_entry(k, n_agents=2, two_m=2, n=3) for k in range(11)]
+    assert names[:3] == ["x_0", "x_1", "x_2"]
+    assert names[3] == "eta[agent 0, component 0]"
+    assert names[6] == "eta[agent 1, component 1]"
+    assert names[7] == "w[agent 0, component 0]"
+    assert names[10] == "w[agent 1, component 1]"
+
+
+def reference_run(cfg):
+    """The closed loop written out step by step, with the neighbor coupling
+    recomputed from the current broadcasts in every RHS evaluation. Returns
+    the state after every step (rows) and the per-agent event times."""
+    problem, h, m = cfg.problem, cfg.h, cfg.problem.m
+    lap = laplacian(cfg.graph)
+    x0 = np.asarray(cfg.x0, dtype=float)
+    state = initial_estimator_state(problem, x0)
+    eta_hat, w_hat = state.eta_hat, state.w_hat
+    n, shape, size = x0.size, eta_hat.shape, eta_hat.size
+
+    def rhs(t, y):
+        x, eta = y[:n], y[n : n + size].reshape(shape)
+        eta1 = eta[:, :m]
+        coupling = broadcast_coupling(lap, eta_hat, w_hat)
+        eta_dot, w_dot = estimator_derivative(
+            eta, theta_stack(problem, x, eta1), coupling, cfg.delta
+        )
+        return np.concatenate(
+            [decision_rates(problem, x, eta1, eta[:, m:]), eta_dot.ravel(), w_dot.ravel()]
+        )
+
+    rule = TriggerRule(cfg.schemes)
+    events = [[0.0] for _ in range(problem.n_agents)]
+    y = np.concatenate([x0, state.eta.ravel(), state.w.ravel()])
+    states = [y]
+    for k in range(round(cfg.t_end / h)):
+        t = k * h
+        if k > 0:
+            eta, w = y[n : n + size].reshape(shape), y[n + size :].reshape(shape)
+            mask = rule.fire(t, eta, w, eta_hat, w_hat)
+            eta_hat[mask] = eta[mask]
+            w_hat[mask] = w[mask]
+            for i in np.flatnonzero(mask):
+                events[i].append(t)
+        y = rk4_step(rhs, t, y, h)
+        states.append(y)
+    return np.array(states), events
+
+
+@pytest.mark.parametrize("case", ["event", "periodic", "continuous", "per_agent"])
+def test_run_matches_reference_loop(case, der4, ring4, der4_x_star):
+    # run() holds the coupling between broadcasts; a broadcast that does not
+    # refresh it makes the trajectories part
+    schemes = {
+        "periodic": (Periodic(0.02),) * 4, "continuous": (Continuous(),) * 4,
+    }.get(case, EVENT_SCHEMES)
+    problem = AggregativeProblem(agents=der4.agents, m=der4.m) if case == "per_agent" else der4
+    cfg = event_config(der4, ring4, problem=problem, schemes=schemes, t_end=1.0, output_stride=1)
+    result = run(cfg, x_star=der4_x_star)
+    states, events = reference_run(cfg)
+    n, k = der4.dim, result.eta[0].size
+    assert np.array_equal(result.x, states[:, :n])
+    assert np.array_equal(result.eta.reshape(len(states), k), states[:, n : n + k])
+    assert np.array_equal(result.w.reshape(len(states), k), states[:, n + k :])
+    assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
+    assert result.events.total > 4 * 2  # broadcasts after t = 0 were exercised
 
 
 def test_decision_error_decays_and_fit_positive(der4, ring4, der4_x_star):

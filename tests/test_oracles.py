@@ -118,7 +118,7 @@ def test_centralized_flow_error_monotone(der4, der4_x_star):
 
 
 def test_centralized_flow_divergence(der4):
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match=r"at t=20 \(step h=5\): x_0 = "):
         centralized_flow(der4, np.array([5.0, 6.0, 3.0, 8.0]), h=5.0, t_end=500.0)
 
 

@@ -100,6 +100,22 @@ def test_validate_scheme_zero_beta_is_hard_error():
         validate_scheme((Periodic(0.0),), lam=1.0)
 
 
+@pytest.mark.parametrize(
+    "scheme, names",
+    [
+        (Periodic(np.inf), "period"),
+        (Periodic(np.nan), "period"),
+        (Event(np.inf, 0.1), "beta1 and beta2"),
+        (Event(10.0, np.inf), "beta1 and beta2"),
+    ],
+    ids=["period_inf", "period_nan", "beta1_inf", "beta2_inf"],
+)
+def test_validate_scheme_rejects_nonfinite_parameters(scheme, names):
+    schemes = (Continuous(), Continuous(), scheme, Continuous())
+    with pytest.raises(ValueError, match=f"agent 2: {names} must be positive and finite"):
+        validate_scheme(schemes, lam=1.0)
+
+
 def test_validate_scheme_warns_above_bound():
     report = validate_scheme((Event(10.0, 10.0), Continuous()), lam=1.0)
     assert not report.passed
