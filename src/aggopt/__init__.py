@@ -23,6 +23,7 @@ from .engine import (
     SimConfig,
     SimMetrics,
     SimResult,
+    closed_loop_field,
     closed_loop_rhs,
     consensus_error,
     decision_rates,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import replace
@@ -75,6 +76,13 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
         entries = {"scenario": (args.scenario, "--scenario")}
     entries.update(_flag_entries(args))
     return resolve_config(entries)
+
+
+def _check_positive_finite(value: float, flag: str) -> None:
+    """Usage error naming ``flag`` unless ``value`` is positive and finite;
+    called before any run starts, so nothing is computed or written."""
+    if not 0 < value < math.inf:
+        raise _UsageError(f"{flag}: must be positive and finite, got {value:g}")
 
 
 def _rate_bound(problem) -> tuple[float | None, float | None, float | None]:
@@ -147,6 +155,8 @@ def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> d
 
 def _cmd_run(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
+    if args.compare_periodic is not None:
+        _check_positive_finite(args.compare_periodic, "--compare-periodic")
     summary = run_scenario(sc, compare_periodic=args.compare_periodic)
     rel = summary["relative_error"]
     print(f"wrote {sc.output_dir}/trajectory.csv, events.csv, summary.json")
@@ -184,6 +194,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         deltas = [float(v) for v in args.deltas.split(",")]
     except ValueError:
         raise _UsageError(f"malformed --deltas value: {args.deltas!r}") from None
+    for delta in deltas:
+        _check_positive_finite(delta, "--deltas")
     base_dir = Path(sc.output_dir)
     records = []
     for delta in deltas:

@@ -14,7 +14,11 @@ loop advances everything:
   2. advance (x, eta, w) one 4th-order step of :func:`closed_loop_rhs`
      with broadcasts held constant. The neighbor coupling reads broadcasts
      only, so it is computed once when some agent broadcasts and held in
-     between, instead of in every stage of every step;
+     between, instead of in every stage of every step. For the dispatch
+     family the closed loop with the coupling held is affine, so the step
+     integrates :func:`closed_loop_field`: a sparse affine map probed once
+     per run from :func:`closed_loop_rhs`, which agrees with it to rounding,
+     with only its offset recomputed on broadcast steps;
   3. record every ``output_stride``-th grid point.
 
 Triggers are evaluated at grid points only, so detected event times are
@@ -25,8 +29,10 @@ produce bit-identical results.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +52,7 @@ __all__ = [
     "SimConfig",
     "SimMetrics",
     "SimResult",
+    "closed_loop_field",
     "closed_loop_rhs",
     "decision_rates",
     "run",
@@ -163,6 +170,68 @@ def closed_loop_rhs(
     return np.concatenate([x_dot, eta_dot.ravel(), w_dot.ravel()])
 
 
+def closed_loop_field(
+    problem: AggregativeProblem, delta: float
+) -> Callable[[tuple[np.ndarray, np.ndarray]], Callable[[float, np.ndarray], np.ndarray]]:
+    """The right-hand side ``run`` integrates: ``field(coupling)`` is
+    :func:`closed_loop_rhs` with ``coupling`` held.
+
+    When ``problem.network.affine`` holds, the closed loop with the coupling
+    held is ``A y + b(coupling)``, and agent i's rows of ``A`` read only
+    agent i's entries. ``A`` is then probed once from ``closed_loop_rhs``
+    with zero coupling: one probe per local coordinate (a decision, eta or
+    w entry), set for all agents at once. The probe value is a power of two
+    far above the offsets, so the offsets drop out of each response and the
+    division by it is exact: the coefficients keep every bit. ``A`` is kept
+    in COO form and checked once against ``closed_loop_rhs`` at a fixed
+    irregular state and coupling (``ValueError`` if the two disagree). Each
+    ``field(coupling)`` evaluates ``closed_loop_rhs`` once, at y = 0, for
+    its offset ``b``. Other networks get ``closed_loop_rhs`` itself.
+    """
+    rhs = partial(closed_loop_rhs, problem, delta)
+    if not problem.network.affine:
+        return lambda coupling: partial(rhs, coupling)
+
+    n_agents, two_m = problem.n_agents, 2 * problem.m
+    size = problem.dim + 2 * n_agents * two_m
+    zeros = np.zeros(size)
+    # flat[i, c] is the flat index of agent i's local coordinate c
+    x, eta, w = _split_state(np.arange(size), n_agents, two_m)
+    flat = np.hstack([x.reshape(n_agents, -1), eta, w])
+    owner = np.empty(size, dtype=np.intp)
+    owner[flat] = np.arange(n_agents)[:, None]
+
+    held = (np.zeros((n_agents, two_m)),) * 2
+    offset = rhs(held, 0.0, zeros)
+    scale = 2.0 ** (math.frexp(max(1.0, np.abs(offset).max()))[1] + 80)
+    response = np.empty((flat.shape[1], size))
+    for c, probed in enumerate(flat.T):
+        probe = zeros.copy()
+        probe[probed] = scale
+        response[c] = (rhs(held, 0.0, probe) - offset) / scale
+    rows, coord = np.nonzero(response.T)
+    cols, vals = flat[owner[rows], coord], response[coord, rows]
+
+    def field(coupling: tuple[np.ndarray, np.ndarray]) -> Callable[[float, np.ndarray], np.ndarray]:
+        b = rhs(coupling, 0.0, zeros)
+        return lambda t, y: np.bincount(rows, vals * y[cols], size) + b
+
+    # distinct, irregular entries of both signs, from functions the run
+    # calls anyway: numpy.random or a new ufunc would add resident memory
+    wave = np.log(np.arange(2.0, size + 2 * n_agents * two_m + 2.0)) - 2.0
+    state, coupling = wave[:size], tuple(wave[size:].reshape(2, n_agents, two_m))
+    check = field(coupling)
+    # rounding moves each entry by a few 2^-53 of its terms' magnitude; a
+    # wrong map misses by a sizeable fraction of it
+    magnitude = np.bincount(rows, np.abs(vals * state[cols]), size) + np.abs(check(0.0, zeros))
+    if not np.all(np.abs(check(0.0, state) - rhs(coupling, 0.0, state)) <= 2.0**-40 * magnitude):
+        raise ValueError(
+            f"{type(problem.network).__name__} declares an affine closed loop, "
+            "but closed_loop_rhs disagrees with the map probed from it"
+        )
+    return field
+
+
 def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     """Execute one closed-loop run; see the module docstring for semantics.
 
@@ -195,7 +264,8 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     event_times: list[list[float]] = [[0.0] for _ in range(n_agents)]
 
     y = np.concatenate([x0, state.eta.ravel(), state.w.ravel()])
-    rhs = partial(closed_loop_rhs, problem, delta, broadcast_coupling(lap, eta_hat, w_hat))
+    field = closed_loop_field(problem, delta)
+    rhs = field(broadcast_coupling(lap, eta_hat, w_hat))
 
     n_records = n_steps // stride + 1
     rec_t = np.empty(n_records)
@@ -220,9 +290,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
             if mask.any():
                 eta_hat[mask] = eta_now[mask]
                 w_hat[mask] = w_now[mask]
-                rhs = partial(
-                    closed_loop_rhs, problem, delta, broadcast_coupling(lap, eta_hat, w_hat)
-                )
+                rhs = field(broadcast_coupling(lap, eta_hat, w_hat))
                 for i in np.flatnonzero(mask):
                     event_times[i].append(t)
         y = rk4_step(rhs, t, y, h)

@@ -111,8 +111,14 @@ class DispatchFamily:
 
     Both evaluators provide ``aggregate`` (sigma), ``cost`` and ``gradient``
     of the global cost, ``theta`` (the (N, 2m) estimator inputs) and
-    ``drive`` (stacked grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2).
+    ``drive`` (stacked grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2),
+    and ``affine``: whether ``theta`` and ``drive`` are affine in
+    (x, eta1, eta2) with each agent's rows reading only that agent's
+    entries, which lets the engine evaluate the closed loop as a sparse
+    affine map.
     """
+
+    affine = True
 
     def __init__(self, params: DerParameters) -> None:
         self.a = np.array(params.a)
@@ -146,6 +152,8 @@ class DispatchFamily:
 class PerAgent:
     """Any problem, one :class:`LocalObjective` call per agent; agent i owns
     the dim_x entries of the stacked decisions after those of agents < i."""
+
+    affine = False
 
     def __init__(self, agents: tuple[LocalObjective, ...], m: int) -> None:
         self.agents = agents

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aggopt import solve_kkt_quadratic
+from aggopt import cli, solve_kkt_quadratic
 from aggopt.cli import main
 from aggopt.config import dump_config, parse_config
 
@@ -43,6 +43,32 @@ def test_run_compare_periodic(tmp_path, capsys):
     comp = summary["comparison"]
     assert comp["event_total"] < comp["periodic_total"]
     assert comp["ratio"] < 1.0
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("a simulation started before the flag was checked")
+
+
+@pytest.mark.parametrize("value", ["inf", "-1", "0", "nan"])
+def test_compare_periodic_checked_before_any_run(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(cli, "run", refuse_to_run)
+    out = tmp_path / "out"
+    code = run_cli([
+        "run", "--scenario", "der4", "--output", str(out), f"--compare-periodic={value}",
+    ])
+    assert code == 1
+    assert "--compare-periodic: must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("deltas", ["0.1,inf", "0.1,0", "0.1,-0.2", "nan"])
+def test_sweep_deltas_checked_before_any_run(tmp_path, capsys, monkeypatch, deltas):
+    monkeypatch.setattr(cli, "run", refuse_to_run)
+    out = tmp_path / "sweep"
+    code = run_cli(["sweep", "--scenario", "der4", f"--deltas={deltas}", "--output", str(out)])
+    assert code == 1
+    assert "--deltas: must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_subcommand(capsys):

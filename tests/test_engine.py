@@ -1,7 +1,10 @@
 import logging
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggopt import (
     Continuous,
@@ -21,15 +24,23 @@ from aggopt import (
     initial_estimator_state,
     laplacian,
     make_der_instance,
+    make_dispatch_instance,
     path,
+    random_connected_graph,
+    ring,
     run,
     sigma,
     theta_stack,
     with_frozen_decisions,
 )
-from aggopt.engine import _state_entry
+from aggopt.engine import _state_entry, closed_loop_field
 from aggopt.integrate import rk4_step
-from aggopt.problems import AggregativeProblem, DerParameters, from_der_parameters
+from aggopt.problems import (
+    AggregativeProblem,
+    DerParameters,
+    DispatchFamily,
+    from_der_parameters,
+)
 from aggopt.triggers import TriggerRule
 
 X0 = np.array([5.0, 6.0, 3.0, 8.0])
@@ -330,11 +341,33 @@ def test_state_entry_names():
     assert names[10] == "w[agent 1, component 1]"
 
 
-def reference_run(cfg):
-    """The closed loop written out step by step, with the neighbor coupling
-    recomputed from the current broadcasts in every RHS evaluation. Returns
-    the state after every step (rows) and the per-agent event times."""
-    problem, h, m = cfg.problem, cfg.h, cfg.problem.m
+def hand_written_rhs(problem, delta):
+    """``rhs_of(coupling)``: the closed loop spelled out from the layers."""
+    m = problem.m
+
+    def rhs_of(coupling):
+        def rhs(t, y):
+            n, shape = problem.dim, coupling[0].shape
+            x, eta = y[:n], y[n : n + coupling[0].size].reshape(shape)
+            eta1 = eta[:, :m]
+            eta_dot, w_dot = estimator_derivative(
+                eta, theta_stack(problem, x, eta1), coupling, delta
+            )
+            return np.concatenate(
+                [decision_rates(problem, x, eta1, eta[:, m:]), eta_dot.ravel(), w_dot.ravel()]
+            )
+
+        return rhs
+
+    return rhs_of
+
+
+def reference_run(cfg, rhs_of):
+    """The closed loop written out step by step, integrating ``rhs_of(coupling)``
+    with the neighbor coupling rebuilt from the current broadcasts in every
+    RHS evaluation. Returns the state after every step (rows) and the
+    per-agent event times."""
+    problem, h = cfg.problem, cfg.h
     lap = laplacian(cfg.graph)
     x0 = np.asarray(cfg.x0, dtype=float)
     state = initial_estimator_state(problem, x0)
@@ -342,15 +375,7 @@ def reference_run(cfg):
     n, shape, size = x0.size, eta_hat.shape, eta_hat.size
 
     def rhs(t, y):
-        x, eta = y[:n], y[n : n + size].reshape(shape)
-        eta1 = eta[:, :m]
-        coupling = broadcast_coupling(lap, eta_hat, w_hat)
-        eta_dot, w_dot = estimator_derivative(
-            eta, theta_stack(problem, x, eta1), coupling, cfg.delta
-        )
-        return np.concatenate(
-            [decision_rates(problem, x, eta1, eta[:, m:]), eta_dot.ravel(), w_dot.ravel()]
-        )
+        return rhs_of(broadcast_coupling(lap, eta_hat, w_hat))(t, y)
 
     rule = TriggerRule(cfg.schemes)
     events = [[0.0] for _ in range(problem.n_agents)]
@@ -370,23 +395,149 @@ def reference_run(cfg):
     return np.array(states), events
 
 
+def flat_states(result):
+    """Recorded (x, eta, w) as rows of the flat state."""
+    k = len(result.times)
+    return np.hstack([result.x, result.eta.reshape(k, -1), result.w.reshape(k, -1)])
+
+
 @pytest.mark.parametrize("case", ["event", "periodic", "continuous", "per_agent"])
 def test_run_matches_reference_loop(case, der4, ring4, der4_x_star):
     # run() holds the coupling between broadcasts; a broadcast that does not
-    # refresh it makes the trajectories part
+    # refresh it makes the trajectories part. Dispatch cases integrate the
+    # engine's affine field, whose agreement with closed_loop_rhs is tested
+    # on its own.
     schemes = {
         "periodic": (Periodic(0.02),) * 4, "continuous": (Continuous(),) * 4,
     }.get(case, EVENT_SCHEMES)
     problem = AggregativeProblem(agents=der4.agents, m=der4.m) if case == "per_agent" else der4
     cfg = event_config(der4, ring4, problem=problem, schemes=schemes, t_end=1.0, output_stride=1)
+    rhs_of = (hand_written_rhs if case == "per_agent" else closed_loop_field)(problem, cfg.delta)
     result = run(cfg, x_star=der4_x_star)
-    states, events = reference_run(cfg)
-    n, k = der4.dim, result.eta[0].size
-    assert np.array_equal(result.x, states[:, :n])
-    assert np.array_equal(result.eta.reshape(len(states), k), states[:, n : n + k])
-    assert np.array_equal(result.w.reshape(len(states), k), states[:, n + k :])
+    states, events = reference_run(cfg, rhs_of)
+    assert np.array_equal(flat_states(result), states)
     assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
     assert result.events.total > 4 * 2  # broadcasts after t = 0 were exercised
+
+
+@pytest.mark.parametrize("case", ["der4", "dispatch15"])
+def test_continuous_run_matches_closed_loop_rhs(case, der4, ring4):
+    # every agent broadcasts at every step, so no trigger decision amplifies
+    # the rounding-level gap between the affine field and closed_loop_rhs
+    if case == "der4":
+        problem, graph, x0 = der4, ring4, X0
+    else:
+        problem, graph = make_dispatch_instance(15, 1), random_connected_graph(15, 1)
+        x0 = np.zeros(15)
+    cfg = SimConfig(
+        problem=problem, graph=graph, delta=0.1, h=0.005, t_end=20.0, x0=x0,
+        schemes=(Continuous(),) * problem.n_agents, output_stride=1,
+    )
+    result = run(cfg, x_star=None)
+    states, _ = reference_run(
+        cfg, lambda coupling: partial(closed_loop_rhs, problem, cfg.delta, coupling)
+    )
+    assert np.abs(flat_states(result) - states).max() <= 1e-10 * np.abs(states).max()
+
+
+def random_held_state(problem, lap, rng, scale):
+    """A random flat state and the coupling of random broadcasts."""
+    n_agents, two_m = problem.n_agents, 2 * problem.m
+    y = scale * rng.standard_normal(problem.dim + 2 * n_agents * two_m)
+    hats = scale * rng.standard_normal((2, n_agents, two_m))
+    return y, broadcast_coupling(lap, *hats)
+
+
+@pytest.mark.parametrize("case", ["der4", "dispatch15", "dispatch200"])
+def test_closed_loop_field_matches_rhs(case, der4):
+    problem = der4 if case == "der4" else make_dispatch_instance(int(case[8:]), 1)
+    lap = laplacian(ring(problem.n_agents))
+    field = closed_loop_field(problem, 0.1)
+    rng = np.random.default_rng(7)
+    for scale in (1.0, 100.0, 1e4):
+        for _ in range(5):
+            y, coupling = random_held_state(problem, lap, rng, scale)
+            exact = closed_loop_rhs(problem, 0.1, coupling, 0.0, y)
+            got = field(coupling)(0.0, y)
+            assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_probed_coefficients_keep_every_bit():
+    # the probes' power-of-two scale lets the offsets drop out, so the map's
+    # coefficients are the dispatch family's own, as closed_loop_rhs rounds them
+    problem, delta, n = make_dispatch_instance(15, 1), 0.1, 15
+    net, size = problem.network, 5 * n
+    rhs = closed_loop_field(problem, delta)((np.zeros((n, 2)),) * 2)
+    big, base = 2.0**200, rhs(0.0, np.zeros(size))
+    probed = np.column_stack([(rhs(0.0, big * e) - base) / big for e in np.eye(size)])
+    expected = np.zeros((size, size))
+    for i in range(n):
+        x, eta1, eta2 = i, n + 2 * i, n + 2 * i + 1
+        expected[x, [x, eta1, eta2]] = -net.two_a[i], -net.c1, -1.0
+        expected[eta1, [x, eta1]] = 1.0 / delta, -1.0 / delta
+        expected[eta2, [x, eta2]] = net.c1 / delta, -1.0 / delta
+    assert np.array_equal(probed, expected)
+
+
+def test_per_agent_field_is_closed_loop_rhs(der4, ring4):
+    generic = AggregativeProblem(agents=der4.agents, m=der4.m)
+    coupling = broadcast_coupling(laplacian(ring4), np.ones((4, 2)), np.zeros((4, 2)))
+    rhs = closed_loop_field(generic, 0.1)(coupling)
+    assert rhs.func is closed_loop_rhs
+    assert rhs.args == (generic, 0.1, coupling) and not rhs.keywords
+
+
+class Curved(DispatchFamily):
+    """Declares itself affine, but its drive is quadratic in x."""
+
+    def drive(self, x, eta1, eta2):
+        return super().drive(x, eta1, eta2) + 1e-3 * x**2
+
+
+class CrossAgent(DispatchFamily):
+    """Declares itself affine, but each agent's drive reads every decision."""
+
+    def drive(self, x, eta1, eta2):
+        return super().drive(x, eta1, eta2) + 1e-3 * x.mean()
+
+
+@pytest.mark.parametrize("network", [Curved, CrossAgent], ids=["curved", "cross_agent"])
+def test_closed_loop_field_rejects_false_affine_claim(network, der4):
+    class Mislabelled(AggregativeProblem):
+        @property
+        def network(self):
+            return network(self.der_params)
+
+    problem = Mislabelled(der4.agents, der4.m, der_params=der4.der_params)
+    assert problem.network.affine
+    with pytest.raises(ValueError, match="affine"):
+        closed_loop_field(problem, 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_agents=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    delta=st.floats(0.01, 1.0),
+    scale=st.sampled_from([1.0, 100.0]),
+)
+def test_field_conserves_estimator_sums(n_agents, seed, delta, scale):
+    # 1^T L = 0, so the neighbor sums cancel over the network:
+    # sum_i w_dot_i = 0 and sum_i eta_dot_i = (sum_i Theta_i - sum_i eta_i) / delta
+    problem = make_dispatch_instance(n_agents, seed)
+    lap = laplacian(random_connected_graph(n_agents, seed))
+    rng = np.random.default_rng(seed)
+    y, coupling = random_held_state(problem, lap, rng, scale)
+    flat = closed_loop_field(problem, delta)(coupling)(0.0, y)
+    n, k = problem.dim, 2 * n_agents * problem.m
+    eta, eta_dot, w_dot = (
+        v.reshape(n_agents, -1) for v in (y[n : n + k], flat[n : n + k], flat[n + k :])
+    )
+    thetas = theta_stack(problem, y[:n], eta[:, : problem.m])
+    magnitude = (np.abs(thetas) + np.abs(eta) + np.abs(coupling).sum(0)).sum(0) / delta
+    assert np.all(np.abs(w_dot.sum(0)) <= 1e-12 * magnitude)
+    expected = (thetas.sum(0) - eta.sum(0)) / delta
+    assert np.all(np.abs(eta_dot.sum(0) - expected) <= 1e-12 * magnitude)
 
 
 def test_decision_error_decays_and_fit_positive(der4, ring4, der4_x_star):
