@@ -64,7 +64,6 @@ from .triggers import (
     Event,
     EventLog,
     Periodic,
-    SchemeValidation,
     TriggerScheme,
     validate_scheme,
     zeno_bound_constants,

@@ -33,6 +33,7 @@ from .graphs import laplacian, lambda_bound
 from .oracles import solve_kkt_quadratic
 from .output import write_events_csv, write_summary, write_trajectory_csv
 from .problems import DER4_PUBLISHED_SOLUTION
+from .triggers import Periodic
 
 __all__ = ["main", "console_main", "run_scenario"]
 
@@ -79,10 +80,10 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _check_positive_finite(value: float, flag: str) -> None:
-    """Usage error naming ``flag`` unless ``value`` is positive and finite;
+    """ValueError naming ``flag`` unless ``value`` is positive and finite;
     called before any run starts, so nothing is computed or written."""
     if not 0 < value < math.inf:
-        raise _UsageError(f"{flag}: must be positive and finite, got {value:g}")
+        raise ValueError(f"{flag}: must be positive and finite, got {value:g}")
 
 
 def _rate_bound(problem) -> tuple[float | None, float | None, float | None]:
@@ -95,6 +96,8 @@ def _rate_bound(problem) -> tuple[float | None, float | None, float | None]:
 def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> dict:
     """Oracle solve + distributed run; writes trajectory.csv, events.csv,
     and summary.json into the scenario's output directory."""
+    if compare_periodic is not None:
+        _check_positive_finite(compare_periodic, "--compare-periodic")
     cfg = to_sim_config(sc)
     problem, graph = cfg.problem, cfg.graph
     x_star = solve_kkt_quadratic(problem)
@@ -132,10 +135,8 @@ def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> d
             "measured against oracle_solution"
         )
     if compare_periodic is not None:
-        periodic_sc = replace(
-            sc, trigger="periodic", period=compare_periodic, beta1=None, beta2=None
-        )
-        periodic_result = run(to_sim_config(periodic_sc), x_star=x_star)
+        periodic_cfg = replace(cfg, schemes=(Periodic(compare_periodic),) * problem.n_agents)
+        periodic_result = run(periodic_cfg, x_star=x_star)
         event_total = result.events.total
         periodic_total = periodic_result.events.total
         summary["comparison"] = {
@@ -155,8 +156,6 @@ def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> d
 
 def _cmd_run(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
-    if args.compare_periodic is not None:
-        _check_positive_finite(args.compare_periodic, "--compare-periodic")
     summary = run_scenario(sc, compare_periodic=args.compare_periodic)
     rel = summary["relative_error"]
     print(f"wrote {sc.output_dir}/trajectory.csv, events.csv, summary.json")
@@ -288,3 +287,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

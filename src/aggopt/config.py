@@ -2,10 +2,11 @@
 
 The hand-rolled parser exists because the error contract matters more than
 the syntax: unknown keys are reported together by name, and malformed
-numbers are reported with their line (or, for a value given as a command
-line flag, with the flag). Lists are comma separated; blank
-lines and ``#`` comments are ignored. ``dump_config`` emits the canonical
-form, which re-parses to an identical configuration.
+numbers, and trigger parameters that are not positive, are reported with
+their line (or, for a value given as a command line flag, with the flag).
+Lists are comma separated; blank lines and ``#`` comments are ignored.
+``dump_config`` emits the canonical form, which re-parses to an identical
+configuration.
 
 Recognized keys:
 
@@ -117,13 +118,15 @@ def parse_raw(text: str) -> dict[str, tuple[str, str]]:
     return entries
 
 
-def _number(value: str, where: str, key: str) -> float:
+def _number(value: str, where: str, key: str, positive: bool = False) -> float:
     try:
         number = float(value)
     except ValueError:
         raise ConfigError(f"{where}: malformed number for {key!r}: {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
+    if positive and number <= 0:
+        raise ConfigError(f"{where}: {key!r} must be positive, got {value!r}")
     return number
 
 
@@ -134,8 +137,8 @@ def _int(value: str, where: str, key: str) -> int:
         raise ConfigError(f"{where}: malformed integer for {key!r}: {value!r}") from None
 
 
-def _number_list(value: str, where: str, key: str) -> tuple[float, ...]:
-    return tuple(_number(part.strip(), where, key) for part in value.split(","))
+def _number_list(value: str, where: str, key: str, positive: bool = False) -> tuple[float, ...]:
+    return tuple(_number(part.strip(), where, key, positive) for part in value.split(","))
 
 
 def _edge_list(value: str, where: str) -> tuple[tuple[int, int], ...]:
@@ -254,7 +257,7 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
                 f"continuous; got {trig_text!r}"
             )
         trigger = "periodic"
-        period = _number(mo.group(1), trig_where, "trigger")
+        period = _number(mo.group(1), trig_where, "trigger", positive=True)
 
     def broadcast(values: tuple[float, ...], key: str) -> tuple[float, ...]:
         if len(values) == 1:
@@ -265,13 +268,13 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
 
     if trigger == "event":
         if "beta1" in entries:
-            beta1 = broadcast(_number_list(*entries["beta1"], "beta1"), "beta1")
+            beta1 = broadcast(_number_list(*entries["beta1"], "beta1", positive=True), "beta1")
         elif scenario == "der4":
             beta1 = DER4_BETA1
         else:
             beta1 = (DISPATCH_BETA1,) * n_agents
         if "beta2" in entries:
-            beta2 = broadcast(_number_list(*entries["beta2"], "beta2"), "beta2")
+            beta2 = broadcast(_number_list(*entries["beta2"], "beta2", positive=True), "beta2")
         elif scenario == "der4":
             beta2 = DER4_BETA2
         else:
@@ -283,7 +286,7 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
         if "period" in entries:
             if period is not None:
                 raise ConfigError("period given both inline and as a key")
-            period = _number(*entries["period"], "period")
+            period = _number(*entries["period"], "period", positive=True)
         elif period is None:
             period = DEFAULT_PERIOD
     elif "period" in entries:

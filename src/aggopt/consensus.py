@@ -37,16 +37,13 @@ class EstimatorState:
     """Estimator variables for the whole network; row i belongs to agent i.
 
     ``eta`` rows stack the aggregate estimate (first m entries) and the
-    sensitivity-average estimate (last m). ``eta_hat``/``w_hat`` hold each
-    agent's last broadcast and stay constant between that agent's events;
-    at an event they are overwritten with the current row, which resets the
-    agent's measurement error to zero.
+    sensitivity-average estimate (last m). Each agent's last broadcast is
+    not part of this state: :func:`aggopt.engine.run` holds it as a copy of
+    the rows taken at the agent's events, the first of them at t = 0.
     """
 
     eta: np.ndarray      # (N, 2m)
     w: np.ndarray        # (N, 2m)
-    eta_hat: np.ndarray  # (N, 2m)
-    w_hat: np.ndarray    # (N, 2m)
 
 
 def theta_stack(problem: AggregativeProblem, x: np.ndarray, eta1: np.ndarray) -> np.ndarray:
@@ -57,19 +54,13 @@ def theta_stack(problem: AggregativeProblem, x: np.ndarray, eta1: np.ndarray) ->
 def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> EstimatorState:
     """Deterministic initialization: eta_i = Theta_i(x_i(0), 0), w = 0.
 
-    Every agent broadcasts at t = 0, so the initial hats equal the states
-    and all measurement errors start at zero.
+    Every agent broadcasts this state at t = 0, so all measurement errors
+    start at zero.
     """
     x0 = np.asarray(x0, dtype=float)
     zeros_m = np.zeros((problem.n_agents, problem.m))
     eta = theta_stack(problem, x0, zeros_m)
-    w = np.zeros_like(eta)
-    return EstimatorState(
-        eta=eta,
-        w=w,
-        eta_hat=eta.copy(),
-        w_hat=w.copy(),
-    )
+    return EstimatorState(eta=eta, w=np.zeros_like(eta))
 
 
 def broadcast_coupling(
@@ -120,17 +111,18 @@ def equilibrium_residual(
 
       (a) stationarity driven by the estimates:
           grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2 for each i,
-      (b) estimator balance: -eta - L eta - L w + Theta(x, eta1),
-      (c) estimate consensus: L eta.
+      (b), (c) the estimator's derivative (:func:`estimator_derivative`)
+          with the states as broadcasts and delta = 1: the balance
+          -eta - L eta - L w + Theta(x, eta1) and the consensus L eta.
     """
     x = np.asarray(x, dtype=float)
     m = problem.m
-    lap = laplacian(g)
     eta1 = eta[:, :m]
     res_x = problem.network.drive(x, eta1, eta[:, m:])
     thetas = theta_stack(problem, x, eta1)
-    res_eta = -eta - lap @ eta - lap @ w + thetas
-    res_w = lap @ eta
+    res_eta, res_w = estimator_derivative(
+        eta, thetas, broadcast_coupling(laplacian(g), eta, w), 1.0
+    )
     return float(
         max(
             np.linalg.norm(res_x),

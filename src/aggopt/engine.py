@@ -21,6 +21,11 @@ loop advances everything:
      with only its offset recomputed on broadcast steps;
   3. record every ``output_stride``-th grid point.
 
+The broadcasts are one copy of the state's estimator block: ``eta_hat``
+and ``w_hat`` are views of it, and a broadcast step is one masked write.
+Records are rows of the flat state and of that copy, split into
+:class:`SimResult`'s fields once, after the loop.
+
 Triggers are evaluated at grid points only, so detected event times are
 late by at most h; all agents broadcast at t = 0. Identical configurations
 produce bit-identical results.
@@ -244,8 +249,8 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     two_m = 2 * m
     lap = laplacian(g)
     lam = lambda_bound(lap)
-    report = validate_scheme(cfg.schemes, lam)
-    for msg in report.warnings:
+    warnings = validate_scheme(cfg.schemes, lam)
+    for msg in warnings:
         logger.warning(msg)
     if cfg.h > cfg.delta / 10.0:
         logger.warning(
@@ -255,7 +260,6 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
 
     x0 = np.asarray(cfg.x0, dtype=float)
     state = initial_estimator_state(problem, x0)
-    eta_hat, w_hat = state.eta_hat, state.w_hat
     h, delta, stride = cfg.h, cfg.delta, cfg.output_stride
     n_steps = max(1, int(round(cfg.t_end / h)))
 
@@ -264,40 +268,34 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     event_times: list[list[float]] = [[0.0] for _ in range(n_agents)]
 
     y = np.concatenate([x0, state.eta.ravel(), state.w.ravel()])
+    # the estimator block of y is (eta, w); every agent broadcasts at t = 0
+    hats = y[n:].reshape(2, n_agents, two_m).copy()
+    eta_hat, w_hat = hats
     field = closed_loop_field(problem, delta)
     rhs = field(broadcast_coupling(lap, eta_hat, w_hat))
 
     n_records = n_steps // stride + 1
-    rec_t = np.empty(n_records)
-    rec_x = np.empty((n_records, n))
-    rec_eta = np.empty((n_records, n_agents, two_m))
-    rec_w = np.empty((n_records, n_agents, two_m))
-    rec_eta_hat = np.empty((n_records, n_agents, two_m))
-    rec_w_hat = np.empty((n_records, n_agents, two_m))
-
-    def record(slot: int, t: float, flat: np.ndarray) -> None:
-        rec_t[slot] = t
-        rec_x[slot], rec_eta[slot], rec_w[slot] = _split_state(flat, n_agents, two_m)
-        rec_eta_hat[slot] = eta_hat
-        rec_w_hat[slot] = w_hat
-
-    record(0, 0.0, y)
+    rec_y = np.empty((n_records, y.size))
+    rec_hats = np.empty((n_records, *hats.shape))
+    rec_y[0], rec_hats[0] = y, hats
     for k in range(n_steps):
         t = k * h
         if k > 0:
-            _, eta_now, w_now = _split_state(y, n_agents, two_m)
-            mask = rule.fire(t, eta_now, w_now, eta_hat, w_hat)
+            estimator = y[n:].reshape(hats.shape)
+            mask = rule.fire(t, *estimator, eta_hat, w_hat)
             if mask.any():
-                eta_hat[mask] = eta_now[mask]
-                w_hat[mask] = w_now[mask]
+                hats[:, mask] = estimator[:, mask]
                 rhs = field(broadcast_coupling(lap, eta_hat, w_hat))
                 for i in np.flatnonzero(mask):
                     event_times[i].append(t)
         y = rk4_step(rhs, t, y, h)
         ensure_finite(y, t + h, h, entry)
         if (k + 1) % stride == 0:
-            record((k + 1) // stride, (k + 1) * h, y)
+            slot = (k + 1) // stride
+            rec_y[slot], rec_hats[slot] = y, hats
 
+    rec_t = (np.arange(n_records) * stride) * h
+    rec_x, rec_estimator = rec_y[:, :n], rec_y[:, n:].reshape(rec_hats.shape)
     events = EventLog(times=tuple(np.array(ts) for ts in event_times))
     final_x = y[:n].copy()
 
@@ -322,16 +320,16 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
         x_star=x_star,
         relative_error=relative_error,
         decision_error=decision_error,
-        consensus_error=consensus_error(problem, rec_x, rec_eta),
+        consensus_error=consensus_error(problem, rec_x, rec_estimator[:, 0]),
         fitted_decay_rate=fitted,
         broadcast_counts=events.counts,
         min_interevent=events.min_intervals(),
         lambda_bound=lam,
-        scheme_warnings=report.warnings,
+        scheme_warnings=warnings,
     )
     return SimResult(
-        times=rec_t, x=rec_x, eta=rec_eta, w=rec_w,
-        eta_hat=rec_eta_hat, w_hat=rec_w_hat, events=events, metrics=metrics,
+        times=rec_t, x=rec_x, eta=rec_estimator[:, 0], w=rec_estimator[:, 1],
+        eta_hat=rec_hats[:, 0], w_hat=rec_hats[:, 1], events=events, metrics=metrics,
     )
 
 

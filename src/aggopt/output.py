@@ -33,19 +33,24 @@ def trajectory_header(problem: AggregativeProblem) -> list[str]:
 
 
 def write_trajectory_csv(path: Path, problem: AggregativeProblem, result: SimResult) -> None:
-    m = problem.m
-    header = trajectory_header(problem)
+    """One row per recorded sample; the decision_error column is empty when
+    the run has no reference optimum."""
+    m, n_samples = problem.m, result.times.size
     dec_err = result.metrics.decision_error
+    columns = [
+        result.times,
+        result.x,
+        result.eta[:, :, :m].reshape(n_samples, -1),
+        result.eta[:, :, m:].reshape(n_samples, -1),
+        result.metrics.consensus_error,
+    ]
+    if dec_err is not None:
+        columns.append(dec_err)
+    tail = "\n" if dec_err is not None else ",\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(result.times.size):
-            row = [_fmt(result.times[k])]
-            row += [_fmt(v) for v in result.x[k]]
-            row += [_fmt(v) for v in result.eta[k][:, :m].ravel()]
-            row += [_fmt(v) for v in result.eta[k][:, m:].ravel()]
-            row.append(_fmt(result.metrics.consensus_error[k]))
-            row.append(_fmt(dec_err[k]) if dec_err is not None else "")
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(trajectory_header(problem)) + "\n")
+        for row in np.column_stack(columns):
+            fh.write(",".join(map(repr, row.tolist())) + tail)
 
 
 def write_events_csv(path: Path, result: SimResult) -> None:

@@ -203,16 +203,14 @@ class PerAgent:
 class AggregativeProblem:
     """N agents, a shared aggregation dimension m, and optional metadata.
 
-    ``rate_metadata`` carries the pair (kappa, lipschitz) derived from the
-    extreme Hessian eigenvalues of quadratic instances; it is reporting
-    metadata only and never steers the dynamics. ``der_params`` is set by
-    the dispatch factories; :attr:`network` reads it to choose vectorized
-    evaluation of the whole network over the per-agent loop.
+    ``der_params`` is set by the dispatch factories; :attr:`network` reads
+    it to choose vectorized evaluation of the whole network over the
+    per-agent loop, and :attr:`rate_metadata` derives the rate constants
+    from it.
     """
 
     agents: tuple[LocalObjective, ...]
     m: int
-    rate_metadata: tuple[float, float] | None = None
     der_params: DerParameters | None = None
 
     def __post_init__(self) -> None:
@@ -228,6 +226,22 @@ class AggregativeProblem:
     @property
     def dim(self) -> int:
         return sum(obj.dim_x for obj in self.agents)
+
+    @cached_property
+    def rate_metadata(self) -> tuple[float, float] | None:
+        """The pair (kappa, lipschitz) from the extreme Hessian eigenvalues
+        of a dispatch instance; None for other problems, or when the
+        Hessian is not positive definite. Reporting metadata only: it never
+        steers the dynamics."""
+        if self.der_params is None:
+            return None
+        eigs = np.linalg.eigvalsh(quadratic_hessian(self.der_params))
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        if lo <= 0.0:
+            return None
+        # kappa is the tightest constant with |grad f|^2 >= (1/kappa)|x - x*|^2;
+        # lipschitz is the gradient's Lipschitz constant.
+        return (1.0 / lo**2, hi)
 
     @cached_property
     def network(self) -> DispatchFamily | PerAgent:
@@ -270,16 +284,6 @@ def quadratic_hessian(params: DerParameters) -> np.ndarray:
     return 2.0 * np.diag(a) + (2.0 * params.price_slope / n) * np.ones((n, n))
 
 
-def _rate_metadata(params: DerParameters) -> tuple[float, float] | None:
-    eigs = np.linalg.eigvalsh(quadratic_hessian(params))
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0.0:
-        return None
-    # kappa is the tightest constant with |grad f|^2 >= (1/kappa)|x - x*|^2;
-    # lipschitz is the gradient's Lipschitz constant.
-    return (1.0 / lo**2, hi)
-
-
 def _der_agent(a: float, b: float, d: float, c0: float, c1: float) -> LocalObjective:
     def cost(x: Vector, s: Vector) -> float:
         return float(a * x[0] ** 2 + b * x[0] + d - (c0 - c1 * s[0]) * x[0])
@@ -306,9 +310,7 @@ def from_der_parameters(params: DerParameters) -> AggregativeProblem:
         _der_agent(params.a[i], params.b[i], params.d[i], c0, c1)
         for i in range(params.n_units)
     )
-    return AggregativeProblem(
-        agents=agents, m=1, rate_metadata=_rate_metadata(params), der_params=params
-    )
+    return AggregativeProblem(agents=agents, m=1, der_params=params)
 
 
 def make_der_instance() -> AggregativeProblem:
@@ -356,9 +358,4 @@ def with_frozen_decisions(problem: AggregativeProblem) -> AggregativeProblem:
         zero_jac = lambda x, _n=obj.dim_x, _m=problem.m: np.zeros((_m, _n))
         return replace(obj, grad_x=zero_gx, jac_phi=zero_jac)
 
-    return AggregativeProblem(
-        agents=tuple(freeze(obj) for obj in problem.agents),
-        m=problem.m,
-        rate_metadata=None,
-        der_params=None,
-    )
+    return AggregativeProblem(agents=tuple(freeze(obj) for obj in problem.agents), m=problem.m)

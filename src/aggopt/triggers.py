@@ -15,7 +15,6 @@ __all__ = [
     "Event",
     "TriggerScheme",
     "EventLog",
-    "SchemeValidation",
     "TriggerRule",
     "zeno_lower_bound",
     "validate_scheme",
@@ -138,24 +137,16 @@ def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float, tol: floa
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class SchemeValidation:
-    """Outcome of checking trigger parameters against the spectral bound."""
-
-    passed: bool
-    lam: float
-    warnings: tuple[str, ...]
-
-
-def validate_scheme(schemes: Sequence[TriggerScheme], lam: float) -> SchemeValidation:
-    """Check per-agent trigger parameters.
+def validate_scheme(schemes: Sequence[TriggerScheme], lam: float) -> tuple[str, ...]:
+    """Check per-agent trigger parameters against the spectral bound ``lam``
+    and return the warnings; an empty tuple means every check passed.
 
     Unknown scheme types and beta and period values that are not positive
-    and finite (NaN included) are hard errors. An event decay rate beta2 >= lam only voids the convergence
-    guarantee, so it produces a warning and the run stays permitted.
+    and finite (NaN included) are hard errors. An event decay rate
+    beta2 >= lam only voids the convergence guarantee, so it produces a
+    warning and the run stays permitted.
     """
     warnings: list[str] = []
-    passed = True
     for i, scheme in enumerate(schemes):
         if isinstance(scheme, Periodic):
             if not (0 < scheme.period < np.inf):
@@ -164,14 +155,13 @@ def validate_scheme(schemes: Sequence[TriggerScheme], lam: float) -> SchemeValid
             if not (0 < scheme.beta1 < np.inf and 0 < scheme.beta2 < np.inf):
                 raise ValueError(f"agent {i}: beta1 and beta2 must be positive and finite")
             if scheme.beta2 >= lam:
-                passed = False
                 warnings.append(
                     f"agent {i}: beta2={scheme.beta2:g} is not below the spectral "
                     f"bound {lam:g}; estimator convergence is no longer guaranteed"
                 )
         elif not isinstance(scheme, Continuous):
             raise TypeError(f"unknown trigger scheme {scheme!r}")
-    return SchemeValidation(passed=passed, lam=lam, warnings=tuple(warnings))
+    return tuple(warnings)
 
 
 def zeno_bound_constants(

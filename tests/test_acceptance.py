@@ -3,6 +3,7 @@ PASS line with its measured quantity (run with ``pytest -s`` to see them
 on passing runs)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.special import lambertw
 from aggopt import (
     Continuous,
     Event,
+    Periodic,
     SimConfig,
     broadcast_coupling,
     build_equilibrium,
@@ -191,6 +193,22 @@ def test_criterion_4_event_vs_periodic_broadcasts(event20):
         4, "event vs periodic broadcasts",
         f"{total} event broadcasts < {baseline} periodic (ratio {total / baseline:.3f})",
     )
+
+
+def test_criterion_4_event_count_robust_to_rounding_perturbations(der4, ring4, der4_x_star):
+    # the exact event count is chaotic in the inputs, so the claim is
+    # checked over an ensemble of rounding-level perturbations of x0
+    rng = np.random.default_rng(4)
+    short = dict(h=1e-3, t_end=2.5)
+    periodic = der4_config(der4, ring4, schemes=(Periodic(0.02),) * 4, **short)
+    counts = []
+    for _ in range(5):
+        x0 = X0 + rng.uniform(-1e-13, 1e-13, X0.size)
+        event = run(der4_config(der4, ring4, x0=x0, **short), x_star=der4_x_star)
+        baseline = run(replace(periodic, x0=x0), x_star=der4_x_star)
+        assert event.events.total < baseline.events.total
+        counts.append((event.events.total, baseline.events.total))
+    report(4, "event count under x0 perturbations", f"(event, periodic) counts {counts}")
 
 
 def test_criterion_5_zeno_exclusion(event200, event20, dispatch15):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aggopt
 from aggopt import cli, solve_kkt_quadratic
 from aggopt.cli import main
 from aggopt.config import dump_config, parse_config
@@ -49,15 +54,30 @@ def refuse_to_run(*args, **kwargs):
     raise AssertionError("a simulation started before the flag was checked")
 
 
-@pytest.mark.parametrize("value", ["inf", "-1", "0", "nan"])
-def test_compare_periodic_checked_before_any_run(tmp_path, capsys, monkeypatch, value):
+COMPARE_PERIODIC_CASES = [
+    (entry, value) for entry in ("cli", "library") for value in ("inf", "-1", "0", "nan")
+]
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    COMPARE_PERIODIC_CASES,
+    ids=[v if e == "cli" else f"{e}-{v}" for e, v in COMPARE_PERIODIC_CASES],
+)
+def test_compare_periodic_checked_before_any_run(tmp_path, capsys, monkeypatch, entry, value):
     monkeypatch.setattr(cli, "run", refuse_to_run)
     out = tmp_path / "out"
-    code = run_cli([
-        "run", "--scenario", "der4", "--output", str(out), f"--compare-periodic={value}",
-    ])
-    assert code == 1
-    assert "--compare-periodic: must be positive and finite" in capsys.readouterr().err
+    message = "--compare-periodic: must be positive and finite"
+    if entry == "cli":
+        code = run_cli([
+            "run", "--scenario", "der4", "--output", str(out), f"--compare-periodic={value}",
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+    else:
+        sc = parse_config(f"scenario = der4\noutput = {out}\n")
+        with pytest.raises(ValueError, match=message):
+            cli.run_scenario(sc, compare_periodic=float(value))
     assert not out.exists()
 
 
@@ -146,6 +166,44 @@ def test_nonfinite_config_values_exit_one(tmp_path, capsys, lines, flags, key, w
     assert f"{where}: '{key}' must be finite" in err
     assert "line 0" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, flags, key, where",
+    [
+        ("beta1 = 10, 8, 0, 10", [], "beta1", "line 2"),
+        ("beta2 = -0.1", [], "beta2", "line 2"),
+        ("trigger = periodic\nperiod = 0", [], "period", "line 3"),
+        ("trigger = periodic(-1)", [], "trigger", "line 2"),
+        ("", ["--trigger", "periodic(-1)"], "trigger", "--trigger"),
+        ("", ["--trigger", "periodic(0)"], "trigger", "--trigger"),
+    ],
+    ids=["beta1", "beta2", "period", "trigger", "flag_trigger", "flag_trigger_zero"],
+)
+def test_nonpositive_trigger_parameters_exit_one(tmp_path, capsys, lines, flags, key, where):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"scenario = der4\n{lines}\n")
+    for command in ("dump-config", "run"):
+        code = run_cli([
+            command, "--scenario", f"file({config})", "--output", str(tmp_path / "out"),
+            *flags,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{where}: '{key}' must be positive" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_runs_main():
+    src = Path(aggopt.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "aggopt.cli", "dump-config", "--scenario", "der4"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "scenario = der4" in proc.stdout.splitlines()
 
 
 def test_disconnected_topology_exits_one(tmp_path, capsys):

@@ -70,8 +70,6 @@ def test_initial_estimator_state_convention(der4):
     state = initial_estimator_state(der4, x0)
     assert np.allclose(state.eta, theta_stack(der4, x0, np.zeros((4, 1))))
     assert np.array_equal(state.w, np.zeros((4, 2)))
-    assert np.array_equal(state.eta_hat, state.eta)
-    assert np.array_equal(state.w_hat, state.w)
 
 
 def test_estimator_derivative_isolated_agent_at_rest():

@@ -134,8 +134,14 @@ def test_run_basic_structure(der4, ring4, der4_x_star):
     result = run(cfg, x_star=der4_x_star)
     assert np.allclose(np.diff(result.times), 0.05)
     assert result.times[0] == 0.0 and result.times[-1] == pytest.approx(5.0)
+    # each recorded time is its grid time, bit for bit
+    stride = cfg.output_stride
+    assert result.times.tolist() == [(j * stride) * cfg.h for j in range(result.times.size)]
     for arr in (result.x, result.eta, result.w, result.eta_hat, result.w_hat):
         assert np.all(np.isfinite(arr))
+    # every agent broadcasts at t = 0, so the first recorded hats are the states
+    assert np.array_equal(result.eta_hat[0], result.eta[0])
+    assert np.array_equal(result.w_hat[0], result.w[0])
     for times in result.events.times:
         assert np.all(np.diff(times) > 0)
         assert times[0] == 0.0  # forced broadcast at the start
@@ -371,7 +377,7 @@ def reference_run(cfg, rhs_of):
     lap = laplacian(cfg.graph)
     x0 = np.asarray(cfg.x0, dtype=float)
     state = initial_estimator_state(problem, x0)
-    eta_hat, w_hat = state.eta_hat, state.w_hat
+    eta_hat, w_hat = state.eta.copy(), state.w.copy()
     n, shape, size = x0.size, eta_hat.shape, eta_hat.size
 
     def rhs(t, y):
