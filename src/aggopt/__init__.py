@@ -23,8 +23,8 @@ from .engine import (
     SimConfig,
     SimMetrics,
     SimResult,
-    closed_loop_field,
     closed_loop_rhs,
+    closed_loop_step,
     consensus_error,
     decision_rates,
     run,

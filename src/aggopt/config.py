@@ -2,8 +2,8 @@
 
 The hand-rolled parser exists because the error contract matters more than
 the syntax: unknown keys are reported together by name, and malformed
-numbers, and trigger parameters that are not positive, are reported with
-their line (or, for a value given as a command line flag, with the flag).
+numbers, and non-positive trigger parameters, delta, step, tend and stride,
+are reported with their line (or, for a command line flag, with the flag).
 Lists are comma separated; blank lines and ``#`` comments are ignored.
 ``dump_config`` emits the canonical form, which re-parses to an identical
 configuration.
@@ -130,11 +130,14 @@ def _number(value: str, where: str, key: str, positive: bool = False) -> float:
     return number
 
 
-def _int(value: str, where: str, key: str) -> int:
+def _int(value: str, where: str, key: str, positive: bool = False) -> int:
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ConfigError(f"{where}: malformed integer for {key!r}: {value!r}") from None
+    if positive and number <= 0:
+        raise ConfigError(f"{where}: {key!r} must be positive, got {value!r}")
+    return number
 
 
 def _number_list(value: str, where: str, key: str, positive: bool = False) -> tuple[float, ...]:
@@ -292,10 +295,10 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
     elif "period" in entries:
         raise ConfigError("'period' is only valid with trigger = periodic")
 
-    delta = _number(*entries["delta"], "delta") if "delta" in entries else 0.1
-    step = _number(*entries["step"], "step") if "step" in entries else delta / 100.0
-    t_end = _number(*entries["tend"], "tend") if "tend" in entries else 200.0
-    stride = _int(*entries["stride"], "stride") if "stride" in entries else 10
+    delta = _number(*entries["delta"], "delta", positive=True) if "delta" in entries else 0.1
+    step = _number(*entries["step"], "step", positive=True) if "step" in entries else delta / 100.0
+    t_end = _number(*entries["tend"], "tend", positive=True) if "tend" in entries else 200.0
+    stride = _int(*entries["stride"], "stride", positive=True) if "stride" in entries else 10
     output_dir = entries["output"][0] if "output" in entries else "out"
     if "x0" in entries:
         x0 = _number_list(*entries["x0"], "x0")
@@ -305,8 +308,6 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
         x0 = DER4_X0
     else:
         x0 = (0.0,) * n_agents
-    if delta <= 0 or step <= 0 or t_end <= 0:
-        raise ConfigError("delta, step, and tend must be positive")
 
     return ScenarioConfig(
         scenario=scenario,

@@ -47,7 +47,8 @@ class EstimatorState:
 
 
 def theta_stack(problem: AggregativeProblem, x: np.ndarray, eta1: np.ndarray) -> np.ndarray:
-    """All agents' estimator inputs as an (N, 2m) array."""
+    """All agents' estimator inputs as an (N, 2m) array; samples stacked on
+    a leading axis of ``x`` and ``eta1`` give a (K, N, 2m) array."""
     return problem.network.theta(x, eta1)
 
 

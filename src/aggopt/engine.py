@@ -12,17 +12,15 @@ loop advances everything:
      :class:`aggopt.triggers.TriggerRule`); agents that fire overwrite their
      broadcast with the current state (the error resets);
   2. advance (x, eta, w) one 4th-order step of :func:`closed_loop_rhs`
-     with broadcasts held constant. The neighbor coupling reads broadcasts
-     only, so it is computed once when some agent broadcasts and held in
-     between, instead of in every stage of every step. For the dispatch
-     family the closed loop with the coupling held is affine, so the step
-     integrates :func:`closed_loop_field`: a sparse affine map probed once
-     per run from :func:`closed_loop_rhs`, which agrees with it to rounding,
-     with only its offset recomputed on broadcast steps;
+     with broadcasts held constant (:func:`closed_loop_step`). The neighbor
+     coupling reads broadcasts only, so it is computed once when some agent
+     broadcasts and held in between. For the dispatch family the step is a
+     per-agent affine map ``y+ = P y + Q b`` formed once per run, with only
+     ``Q b`` recomputed on broadcast steps; it agrees with RK4 to rounding;
   3. record every ``output_stride``-th grid point.
 
-The broadcasts are one copy of the state's estimator block: ``eta_hat``
-and ``w_hat`` are views of it, and a broadcast step is one masked write.
+The broadcasts are one (2, N, 2m) copy of the state's estimator block,
+which the trigger rule reads whole; a broadcast step is one masked write.
 Records are rows of the flat state and of that copy, split into
 :class:`SimResult`'s fields once, after the loop.
 
@@ -57,8 +55,8 @@ __all__ = [
     "SimConfig",
     "SimMetrics",
     "SimResult",
-    "closed_loop_field",
     "closed_loop_rhs",
+    "closed_loop_step",
     "decision_rates",
     "run",
     "consensus_error",
@@ -175,66 +173,80 @@ def closed_loop_rhs(
     return np.concatenate([x_dot, eta_dot.ravel(), w_dot.ravel()])
 
 
-def closed_loop_field(
-    problem: AggregativeProblem, delta: float
-) -> Callable[[tuple[np.ndarray, np.ndarray]], Callable[[float, np.ndarray], np.ndarray]]:
-    """The right-hand side ``run`` integrates: ``field(coupling)`` is
-    :func:`closed_loop_rhs` with ``coupling`` held.
-
-    When ``problem.network.affine`` holds, the closed loop with the coupling
-    held is ``A y + b(coupling)``, and agent i's rows of ``A`` read only
-    agent i's entries. ``A`` is then probed once from ``closed_loop_rhs``
-    with zero coupling: one probe per local coordinate (a decision, eta or
-    w entry), set for all agents at once. The probe value is a power of two
-    far above the offsets, so the offsets drop out of each response and the
-    division by it is exact: the coefficients keep every bit. ``A`` is kept
-    in COO form and checked once against ``closed_loop_rhs`` at a fixed
-    irregular state and coupling (``ValueError`` if the two disagree). Each
-    ``field(coupling)`` evaluates ``closed_loop_rhs`` once, at y = 0, for
-    its offset ``b``. Other networks get ``closed_loop_rhs`` itself.
-    """
-    rhs = partial(closed_loop_rhs, problem, delta)
-    if not problem.network.affine:
-        return lambda coupling: partial(rhs, coupling)
-
+def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Agent i's block ``a[i]`` of ``A`` in the affine closed loop ``A y + b``
+    (coupling held), over the flat indices ``flat[i]`` of its coordinates.
+    One probe per local coordinate, set for all agents at once; the probe is
+    a power of two far above the offsets, so they drop out and the division
+    by it is exact: the coefficients keep every bit."""
     n_agents, two_m = problem.n_agents, 2 * problem.m
     size = problem.dim + 2 * n_agents * two_m
     zeros = np.zeros(size)
-    # flat[i, c] is the flat index of agent i's local coordinate c
     x, eta, w = _split_state(np.arange(size), n_agents, two_m)
     flat = np.hstack([x.reshape(n_agents, -1), eta, w])
-    owner = np.empty(size, dtype=np.intp)
-    owner[flat] = np.arange(n_agents)[:, None]
-
-    held = (np.zeros((n_agents, two_m)),) * 2
-    offset = rhs(held, 0.0, zeros)
+    rhs = partial(closed_loop_rhs, problem, delta, (np.zeros((n_agents, two_m)),) * 2, 0.0)
+    offset = rhs(zeros)
     scale = 2.0 ** (math.frexp(max(1.0, np.abs(offset).max()))[1] + 80)
-    response = np.empty((flat.shape[1], size))
+    a = np.empty((n_agents, flat.shape[1], flat.shape[1]))
     for c, probed in enumerate(flat.T):
         probe = zeros.copy()
         probe[probed] = scale
-        response[c] = (rhs(held, 0.0, probe) - offset) / scale
-    rows, coord = np.nonzero(response.T)
-    cols, vals = flat[owner[rows], coord], response[coord, rows]
+        a[:, :, c] = ((rhs(probe) - offset) / scale)[flat]
+    return flat, a
 
-    def field(coupling: tuple[np.ndarray, np.ndarray]) -> Callable[[float, np.ndarray], np.ndarray]:
-        b = rhs(coupling, 0.0, zeros)
-        return lambda t, y: np.bincount(rows, vals * y[cols], size) + b
 
-    # distinct, irregular entries of both signs, from functions the run
-    # calls anyway: numpy.random or a new ufunc would add resident memory
-    wave = np.log(np.arange(2.0, size + 2 * n_agents * two_m + 2.0)) - 2.0
-    state, coupling = wave[:size], tuple(wave[size:].reshape(2, n_agents, two_m))
-    check = field(coupling)
-    # rounding moves each entry by a few 2^-53 of its terms' magnitude; a
-    # wrong map misses by a sizeable fraction of it
-    magnitude = np.bincount(rows, np.abs(vals * state[cols]), size) + np.abs(check(0.0, zeros))
-    if not np.all(np.abs(check(0.0, state) - rhs(coupling, 0.0, state)) <= 2.0**-40 * magnitude):
+def closed_loop_step(
+    problem: AggregativeProblem, delta: float, h: float
+) -> Callable[[tuple[np.ndarray, np.ndarray]], Callable[[float, np.ndarray], np.ndarray]]:
+    """``step(coupling)`` returns ``advance(t, y)``: one RK4 step of length h
+    of :func:`closed_loop_rhs` with ``coupling`` held.
+
+    For an affine network (``problem.network.affine``) RK4 on the per-agent
+    blocks ``A_i`` of :func:`_probed_blocks` is exactly ``y+ = P y + Q b``,
+    with ``Z = h A_i``, ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
+    ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)`` formed once; ``step`` evaluates
+    ``closed_loop_rhs`` once, at y = 0, for ``b``. The map is checked once
+    against one ``rk4_step`` of ``closed_loop_rhs`` (``ValueError`` if they
+    differ). Other networks take that ``rk4_step`` in every step.
+    """
+    rhs = partial(closed_loop_rhs, problem, delta)
+    if not problem.network.affine:
+        return lambda coupling: partial(rk4_step, partial(rhs, coupling), h=h)
+
+    flat, a = _probed_blocks(problem, delta)
+    zeros = np.zeros(flat.size)
+    z = h * a
+    eye = np.eye(flat.shape[1])
+    z2 = z @ z
+    z3 = z2 @ z
+    p = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
+    q = h * (eye + z / 2.0 + z2 / 6.0 + z3 / 24.0)
+
+    def step(coupling: tuple[np.ndarray, np.ndarray]) -> Callable[[float, np.ndarray], np.ndarray]:
+        qb = q @ rhs(coupling, 0.0, zeros).take(flat)[..., None]
+
+        def advance(t: float, y: np.ndarray) -> np.ndarray:
+            y_next = np.empty(flat.size)
+            y_next[flat] = (p @ y.take(flat)[..., None] + qb)[..., 0]
+            return y_next
+
+        return advance
+
+    # irregular entries of both signs, from a ufunc the run calls anyway:
+    # numpy.random or a new ufunc would add resident memory
+    irregular = np.log(np.arange(2.0, 2 * flat.size - problem.dim + 2.0)) - 2.0
+    state = irregular[: flat.size]
+    coupling = tuple(irregular[flat.size :].reshape(2, problem.n_agents, -1))
+    want = rk4_step(partial(rhs, coupling), 0.0, state, h)
+    # rounding moves entries by a few 2^-53 of the state and the increment; a
+    # wrong map misses by a share of the increment, which shrinks with h
+    tol = 2.0**-40 * np.abs(want - state).max() + 2.0**-46 * np.abs(state).max()
+    if not (np.abs(step(coupling)(0.0, state) - want).max() <= tol):
         raise ValueError(
             f"{type(problem.network).__name__} declares an affine closed loop, "
-            "but closed_loop_rhs disagrees with the map probed from it"
+            "but one RK4 step of closed_loop_rhs disagrees with the step map probed from it"
         )
-    return field
+    return step
 
 
 def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
@@ -270,25 +282,25 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     y = np.concatenate([x0, state.eta.ravel(), state.w.ravel()])
     # the estimator block of y is (eta, w); every agent broadcasts at t = 0
     hats = y[n:].reshape(2, n_agents, two_m).copy()
-    eta_hat, w_hat = hats
-    field = closed_loop_field(problem, delta)
-    rhs = field(broadcast_coupling(lap, eta_hat, w_hat))
 
     n_records = n_steps // stride + 1
     rec_y = np.empty((n_records, y.size))
     rec_hats = np.empty((n_records, *hats.shape))
     rec_y[0], rec_hats[0] = y, hats
+    # last set-up action, so the RK4 step of the map's check marks its end
+    step = closed_loop_step(problem, delta, h)
+    advance = step(broadcast_coupling(lap, *hats))
     for k in range(n_steps):
         t = k * h
         if k > 0:
             estimator = y[n:].reshape(hats.shape)
-            mask = rule.fire(t, *estimator, eta_hat, w_hat)
+            mask = rule.fire(t, estimator, hats)
             if mask.any():
                 hats[:, mask] = estimator[:, mask]
-                rhs = field(broadcast_coupling(lap, eta_hat, w_hat))
+                advance = step(broadcast_coupling(lap, *hats))
                 for i in np.flatnonzero(mask):
                     event_times[i].append(t)
-        y = rk4_step(rhs, t, y, h)
+        y = advance(t, y)
         ensure_finite(y, t + h, h, entry)
         if (k + 1) % stride == 0:
             slot = (k + 1) // stride
@@ -337,11 +349,6 @@ def consensus_error(
     problem: AggregativeProblem, x_samples: np.ndarray, eta_samples: np.ndarray
 ) -> np.ndarray:
     """max_i ||eta_i(t) - mean_j Theta_j(t)|| for every sample."""
-    m = problem.m
-    n_samples = x_samples.shape[0]
-    out = np.empty(n_samples)
-    for k in range(n_samples):
-        thetas = theta_stack(problem, x_samples[k], eta_samples[k][:, :m])
-        target = thetas.mean(axis=0)
-        out[k] = float(np.linalg.norm(eta_samples[k] - target, axis=1).max())
-    return out
+    thetas = theta_stack(problem, x_samples, eta_samples[..., : problem.m])
+    target = thetas.mean(axis=-2, keepdims=True)
+    return np.linalg.norm(eta_samples - target, axis=-1).max(axis=-1)

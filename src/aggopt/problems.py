@@ -110,12 +110,12 @@ class DispatchFamily:
     the coefficients (phi is the identity and m = 1).
 
     Both evaluators provide ``aggregate`` (sigma), ``cost`` and ``gradient``
-    of the global cost, ``theta`` (the (N, 2m) estimator inputs) and
-    ``drive`` (stacked grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2),
-    and ``affine``: whether ``theta`` and ``drive`` are affine in
-    (x, eta1, eta2) with each agent's rows reading only that agent's
-    entries, which lets the engine evaluate the closed loop as a sparse
-    affine map.
+    of the global cost, ``theta`` (the (N, 2m) estimator inputs; (K, N, 2m)
+    for K samples stacked on a leading axis) and ``drive`` (stacked
+    grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2), and ``affine``:
+    whether ``theta`` and ``drive`` are affine in (x, eta1, eta2) with each
+    agent's rows reading only that agent's entries, which lets the engine
+    advance the closed loop by a precomputed per-agent step map.
     """
 
     affine = True
@@ -143,7 +143,7 @@ class DispatchFamily:
         return self.two_a * x + self.b - self.c0 + 2.0 * self.c1 * self.aggregate(x)[0]
 
     def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
-        return x[:, None] * self.theta_scale
+        return x[..., None] * self.theta_scale
 
     def drive(self, x: Vector, eta1: np.ndarray, eta2: np.ndarray) -> Vector:
         return self.two_a * x + self.b - self.c0 + self.c1 * eta1[:, 0] + eta2[:, 0]
@@ -186,6 +186,8 @@ class PerAgent:
         return np.concatenate(parts)
 
     def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
+        if x.ndim > 1:
+            return np.stack([self.theta(x_k, eta1_k) for x_k, eta1_k in zip(x, eta1)])
         rows = [
             theta(obj, x_i, eta1[i])
             for i, (obj, x_i) in enumerate(zip(self.agents, self.blocks(x)))
@@ -223,7 +225,7 @@ class AggregativeProblem:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(obj.dim_x for obj in self.agents)
 

@@ -91,10 +91,9 @@ class TriggerRule:
         """Per-agent event threshold beta1 * exp(-beta2 * t); 0 for other agents."""
         return self.beta1 * np.exp(-self.beta2 * t)
 
-    def fire(
-        self, t: float, eta: np.ndarray, w: np.ndarray, eta_hat: np.ndarray, w_hat: np.ndarray
-    ) -> np.ndarray:
-        """Mask of the agents that broadcast at grid time t.
+    def fire(self, t: float, estimator: np.ndarray, hats: np.ndarray) -> np.ndarray:
+        """Mask of the agents that broadcast at grid time t, from the (2, N, 2m)
+        blocks of (eta, w) and of their last broadcasts.
 
         Continuous agents always fire. A periodic agent fires once t reaches
         its due time, which then advances by one period. An event agent fires
@@ -107,8 +106,8 @@ class TriggerRule:
             mask |= due
             self.next_due[due] += self.period[due]
         if self.any_event:
-            d = np.concatenate([eta_hat - eta, w_hat - w], axis=1)
-            err = np.sqrt((d * d).sum(axis=1))
+            d = hats - estimator
+            err = np.sqrt(np.einsum("kij,kij->i", d, d))
             mask |= self.event & (err >= self.threshold(t))
         return mask
 

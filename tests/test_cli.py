@@ -194,6 +194,35 @@ def test_nonpositive_trigger_parameters_exit_one(tmp_path, capsys, lines, flags,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "lines, flags, key, where",
+    [
+        ("delta = 0", [], "delta", "line 2"),
+        ("step = -0.001", [], "step", "line 2"),
+        ("tend = 0", [], "tend", "line 2"),
+        ("stride = 0", [], "stride", "line 2"),
+        ("stride = -3", [], "stride", "line 2"),
+        ("", ["--tend", "-1"], "tend", "--tend"),
+        ("", ["--delta", "0"], "delta", "--delta"),
+        ("", ["--step", "-0.001"], "step", "--step"),
+    ],
+    ids=["delta", "step", "tend", "stride", "stride_negative", "flag_tend", "flag_delta",
+         "flag_step"],
+)
+def test_nonpositive_run_parameters_exit_one(tmp_path, capsys, lines, flags, key, where):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"scenario = der4\n{lines}\n")
+    for command in ("dump-config", "run"):
+        code = run_cli([
+            command, "--scenario", f"file({config})", "--output", str(tmp_path / "out"),
+            *flags,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{where}: '{key}' must be positive" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point_runs_main():
     src = Path(aggopt.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])

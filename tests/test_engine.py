@@ -33,7 +33,7 @@ from aggopt import (
     theta_stack,
     with_frozen_decisions,
 )
-from aggopt.engine import _state_entry, closed_loop_field
+from aggopt.engine import _probed_blocks, _state_entry, closed_loop_step
 from aggopt.integrate import rk4_step
 from aggopt.problems import (
     AggregativeProblem,
@@ -313,6 +313,27 @@ def test_consensus_error_single_agent():
     assert consensus_error(problem, x, eta)[0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["der4", "per_agent", "dispatch15"])
+def test_consensus_error_matches_per_sample_reference(case, der4, ring4):
+    # one vectorized reduction over all samples; the reference is the loop
+    # over samples, with the same arithmetic per sample
+    if case == "dispatch15":
+        problem, n = make_dispatch_instance(15, 1), 15
+        cfg = SimConfig(
+            problem=problem, graph=random_connected_graph(n, 1), delta=0.1, h=0.005,
+            t_end=2.0, x0=np.zeros(n), schemes=(Event(10.0, 0.1),) * n, output_stride=4,
+        )
+    else:
+        problem = der4 if case == "der4" else AggregativeProblem(der4.agents, der4.m)
+        cfg = event_config(der4, ring4, problem=problem, t_end=1.0)
+    result = run(cfg, x_star=None)
+    expected = []
+    for x, eta in zip(result.x, result.eta):
+        thetas = theta_stack(problem, x, eta[:, :1])
+        expected.append(np.linalg.norm(eta - thetas.mean(axis=0), axis=1).max())
+    assert np.array_equal(consensus_error(problem, result.x, result.eta), expected)
+
+
 def test_generic_path_matches_vectorized_run(der4, ring4, der4_x_star):
     generic = AggregativeProblem(agents=der4.agents, m=der4.m)
     cfg_fast = event_config(der4, ring4, t_end=1.0, output_stride=20)
@@ -368,20 +389,22 @@ def hand_written_rhs(problem, delta):
     return rhs_of
 
 
-def reference_run(cfg, rhs_of):
-    """The closed loop written out step by step, integrating ``rhs_of(coupling)``
-    with the neighbor coupling rebuilt from the current broadcasts in every
-    RHS evaluation. Returns the state after every step (rows) and the
-    per-agent event times."""
+def rk4_of(rhs_of, h):
+    """``advance_of(coupling)``: one ``rk4_step`` of ``rhs_of(coupling)``."""
+    return lambda coupling: partial(rk4_step, rhs_of(coupling), h=h)
+
+
+def reference_run(cfg, advance_of):
+    """The closed loop written out step by step: each step applies
+    ``advance_of(coupling)``, with the neighbor coupling rebuilt from the
+    current broadcasts in every step. Returns the state after every step
+    (rows) and the per-agent event times."""
     problem, h = cfg.problem, cfg.h
     lap = laplacian(cfg.graph)
     x0 = np.asarray(cfg.x0, dtype=float)
     state = initial_estimator_state(problem, x0)
     eta_hat, w_hat = state.eta.copy(), state.w.copy()
     n, shape, size = x0.size, eta_hat.shape, eta_hat.size
-
-    def rhs(t, y):
-        return rhs_of(broadcast_coupling(lap, eta_hat, w_hat))(t, y)
 
     rule = TriggerRule(cfg.schemes)
     events = [[0.0] for _ in range(problem.n_agents)]
@@ -391,12 +414,12 @@ def reference_run(cfg, rhs_of):
         t = k * h
         if k > 0:
             eta, w = y[n : n + size].reshape(shape), y[n + size :].reshape(shape)
-            mask = rule.fire(t, eta, w, eta_hat, w_hat)
+            mask = rule.fire(t, np.stack([eta, w]), np.stack([eta_hat, w_hat]))
             eta_hat[mask] = eta[mask]
             w_hat[mask] = w[mask]
             for i in np.flatnonzero(mask):
                 events[i].append(t)
-        y = rk4_step(rhs, t, y, h)
+        y = advance_of(broadcast_coupling(lap, eta_hat, w_hat))(t, y)
         states.append(y)
     return np.array(states), events
 
@@ -410,17 +433,20 @@ def flat_states(result):
 @pytest.mark.parametrize("case", ["event", "periodic", "continuous", "per_agent"])
 def test_run_matches_reference_loop(case, der4, ring4, der4_x_star):
     # run() holds the coupling between broadcasts; a broadcast that does not
-    # refresh it makes the trajectories part. Dispatch cases integrate the
-    # engine's affine field, whose agreement with closed_loop_rhs is tested
-    # on its own.
+    # refresh it makes the trajectories part. Dispatch cases apply the
+    # engine's step map, whose agreement with an RK4 step of closed_loop_rhs
+    # is tested on its own.
     schemes = {
         "periodic": (Periodic(0.02),) * 4, "continuous": (Continuous(),) * 4,
     }.get(case, EVENT_SCHEMES)
     problem = AggregativeProblem(agents=der4.agents, m=der4.m) if case == "per_agent" else der4
     cfg = event_config(der4, ring4, problem=problem, schemes=schemes, t_end=1.0, output_stride=1)
-    rhs_of = (hand_written_rhs if case == "per_agent" else closed_loop_field)(problem, cfg.delta)
+    if case == "per_agent":
+        advance_of = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
+    else:
+        advance_of = closed_loop_step(problem, cfg.delta, cfg.h)
     result = run(cfg, x_star=der4_x_star)
-    states, events = reference_run(cfg, rhs_of)
+    states, events = reference_run(cfg, advance_of)
     assert np.array_equal(flat_states(result), states)
     assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
     assert result.events.total > 4 * 2  # broadcasts after t = 0 were exercised
@@ -429,7 +455,7 @@ def test_run_matches_reference_loop(case, der4, ring4, der4_x_star):
 @pytest.mark.parametrize("case", ["der4", "dispatch15"])
 def test_continuous_run_matches_closed_loop_rhs(case, der4, ring4):
     # every agent broadcasts at every step, so no trigger decision amplifies
-    # the rounding-level gap between the affine field and closed_loop_rhs
+    # the rounding-level gap between the step map and closed_loop_rhs
     if case == "der4":
         problem, graph, x0 = der4, ring4, X0
     else:
@@ -441,7 +467,7 @@ def test_continuous_run_matches_closed_loop_rhs(case, der4, ring4):
     )
     result = run(cfg, x_star=None)
     states, _ = reference_run(
-        cfg, lambda coupling: partial(closed_loop_rhs, problem, cfg.delta, coupling)
+        cfg, rk4_of(lambda coupling: partial(closed_loop_rhs, problem, cfg.delta, coupling), cfg.h)
     )
     assert np.abs(flat_states(result) - states).max() <= 1e-10 * np.abs(states).max()
 
@@ -455,42 +481,46 @@ def random_held_state(problem, lap, rng, scale):
 
 
 @pytest.mark.parametrize("case", ["der4", "dispatch15", "dispatch200"])
-def test_closed_loop_field_matches_rhs(case, der4):
+def test_closed_loop_step_matches_rk4_of_rhs(case, der4):
+    # measured against the increment, which shrinks with h, not against y
     problem = der4 if case == "der4" else make_dispatch_instance(int(case[8:]), 1)
     lap = laplacian(ring(problem.n_agents))
-    field = closed_loop_field(problem, 0.1)
+    h = 1e-3
+    step = closed_loop_step(problem, 0.1, h)
     rng = np.random.default_rng(7)
     for scale in (1.0, 100.0, 1e4):
         for _ in range(5):
             y, coupling = random_held_state(problem, lap, rng, scale)
-            exact = closed_loop_rhs(problem, 0.1, coupling, 0.0, y)
-            got = field(coupling)(0.0, y)
-            assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact)
+            exact = rk4_step(partial(closed_loop_rhs, problem, 0.1, coupling), 0.0, y, h)
+            got = step(coupling)(0.0, y)
+            assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact - y)
 
 
 def test_probed_coefficients_keep_every_bit():
-    # the probes' power-of-two scale lets the offsets drop out, so the map's
-    # coefficients are the dispatch family's own, as closed_loop_rhs rounds them
+    # the probes' power-of-two scale lets the offsets drop out, so the blocks
+    # are the dispatch family's own coefficients, as closed_loop_rhs rounds them
     problem, delta, n = make_dispatch_instance(15, 1), 0.1, 15
-    net, size = problem.network, 5 * n
-    rhs = closed_loop_field(problem, delta)((np.zeros((n, 2)),) * 2)
-    big, base = 2.0**200, rhs(0.0, np.zeros(size))
-    probed = np.column_stack([(rhs(0.0, big * e) - base) / big for e in np.eye(size)])
-    expected = np.zeros((size, size))
+    net = problem.network
+    flat, blocks = _probed_blocks(problem, delta)
+    # agent i's local coordinates: x_i, eta_i (2 entries), w_i (2 entries)
+    assert flat.tolist() == [[i, n + 2 * i, n + 2 * i + 1, 3 * n + 2 * i, 3 * n + 2 * i + 1]
+                             for i in range(n)]
+    expected = np.zeros((n, 5, 5))
     for i in range(n):
-        x, eta1, eta2 = i, n + 2 * i, n + 2 * i + 1
-        expected[x, [x, eta1, eta2]] = -net.two_a[i], -net.c1, -1.0
-        expected[eta1, [x, eta1]] = 1.0 / delta, -1.0 / delta
-        expected[eta2, [x, eta2]] = net.c1 / delta, -1.0 / delta
-    assert np.array_equal(probed, expected)
+        expected[i, 0, :3] = -net.two_a[i], -net.c1, -1.0
+        expected[i, 1, :2] = 1.0 / delta, -1.0 / delta
+        expected[i, 2, [0, 2]] = net.c1 / delta, -1.0 / delta
+    assert np.array_equal(blocks, expected)
 
 
 def test_per_agent_field_is_closed_loop_rhs(der4, ring4):
+    # PerAgent networks take one rk4_step of closed_loop_rhs itself per step
     generic = AggregativeProblem(agents=der4.agents, m=der4.m)
-    coupling = broadcast_coupling(laplacian(ring4), np.ones((4, 2)), np.zeros((4, 2)))
-    rhs = closed_loop_field(generic, 0.1)(coupling)
-    assert rhs.func is closed_loop_rhs
-    assert rhs.args == (generic, 0.1, coupling) and not rhs.keywords
+    lap = laplacian(ring4)
+    y, coupling = random_held_state(generic, lap, np.random.default_rng(3), 10.0)
+    got = closed_loop_step(generic, 0.1, 1e-3)(coupling)(0.5, y)
+    exact = rk4_step(partial(closed_loop_rhs, generic, 0.1, coupling), 0.5, y, 1e-3)
+    assert np.array_equal(got, exact)
 
 
 class Curved(DispatchFamily):
@@ -508,7 +538,7 @@ class CrossAgent(DispatchFamily):
 
 
 @pytest.mark.parametrize("network", [Curved, CrossAgent], ids=["curved", "cross_agent"])
-def test_closed_loop_field_rejects_false_affine_claim(network, der4):
+def test_closed_loop_step_rejects_false_affine_claim(network, der4):
     class Mislabelled(AggregativeProblem):
         @property
         def network(self):
@@ -516,8 +546,9 @@ def test_closed_loop_field_rejects_false_affine_claim(network, der4):
 
     problem = Mislabelled(der4.agents, der4.m, der_params=der4.der_params)
     assert problem.network.affine
-    with pytest.raises(ValueError, match="affine"):
-        closed_loop_field(problem, 0.1)
+    for h in (1e-3, 5e-3):
+        with pytest.raises(ValueError, match="affine"):
+            closed_loop_step(problem, 0.1, h)
 
 
 @settings(max_examples=40, deadline=None)
@@ -529,21 +560,26 @@ def test_closed_loop_field_rejects_false_affine_claim(network, der4):
 )
 def test_field_conserves_estimator_sums(n_agents, seed, delta, scale):
     # 1^T L = 0, so the neighbor sums cancel over the network:
-    # sum_i w_dot_i = 0 and sum_i eta_dot_i = (sum_i Theta_i - sum_i eta_i) / delta
+    # sum_i w_dot_i = 0 and sum_i eta_dot_i = (sum_i Theta_i - sum_i eta_i) / delta;
+    # one step of the step map therefore keeps sum_i w_i
     problem = make_dispatch_instance(n_agents, seed)
     lap = laplacian(random_connected_graph(n_agents, seed))
     rng = np.random.default_rng(seed)
     y, coupling = random_held_state(problem, lap, rng, scale)
-    flat = closed_loop_field(problem, delta)(coupling)(0.0, y)
+    flat = closed_loop_rhs(problem, delta, coupling, 0.0, y)
     n, k = problem.dim, 2 * n_agents * problem.m
-    eta, eta_dot, w_dot = (
-        v.reshape(n_agents, -1) for v in (y[n : n + k], flat[n : n + k], flat[n + k :])
+    eta, w, eta_dot, w_dot = (
+        v.reshape(n_agents, -1) for v in (y[n : n + k], y[n + k :], flat[n : n + k], flat[n + k :])
     )
     thetas = theta_stack(problem, y[:n], eta[:, : problem.m])
     magnitude = (np.abs(thetas) + np.abs(eta) + np.abs(coupling).sum(0)).sum(0) / delta
     assert np.all(np.abs(w_dot.sum(0)) <= 1e-12 * magnitude)
     expected = (thetas.sum(0) - eta.sum(0)) / delta
     assert np.all(np.abs(eta_dot.sum(0) - expected) <= 1e-12 * magnitude)
+    h = delta / 20.0
+    w_next = closed_loop_step(problem, delta, h)(coupling)(0.0, y)[n + k :].reshape(n_agents, -1)
+    rounding = 1e-13 * (np.abs(w).sum(0) + h * np.abs(coupling).sum(0).sum(0) / delta)
+    assert np.all(np.abs(w_next.sum(0) - w.sum(0)) <= rounding)
 
 
 def test_decision_error_decays_and_fit_positive(der4, ring4, der4_x_star):

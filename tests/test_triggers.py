@@ -22,38 +22,39 @@ def test_measurement_error_zero_after_broadcast():
     eta = np.random.default_rng(0).normal(size=(3, 2))
     w = np.random.default_rng(1).normal(size=(3, 2))
     rule = TriggerRule((Event(1e-300, 0.1),) * 3)
-    assert not rule.fire(0.0, eta, w, eta.copy(), w.copy()).any()
+    assert not rule.fire(0.0, np.stack([eta, w]), np.stack([eta, w])).any()
 
 
 def test_measurement_error_three_four_five():
     # the error is the norm of the stacked (eta_hat - eta, w_hat - w) row: 5
     eta = np.zeros((1, 2))
     w = np.zeros((1, 2))
-    eta_hat, w_hat = eta + np.array([[3.0, 0.0]]), w + np.array([[4.0, 0.0]])
-    assert TriggerRule((Event(5.0, 0.1),)).fire(0.0, eta, w, eta_hat, w_hat)[0]
-    assert not TriggerRule((Event(5.0 + 1e-9, 0.1),)).fire(0.0, eta, w, eta_hat, w_hat)[0]
+    estimator = np.stack([eta, w])
+    hats = np.stack([eta + np.array([[3.0, 0.0]]), w + np.array([[4.0, 0.0]])])
+    assert TriggerRule((Event(5.0, 0.1),)).fire(0.0, estimator, hats)[0]
+    assert not TriggerRule((Event(5.0 + 1e-9, 0.1),)).fire(0.0, estimator, hats)[0]
 
 
 def test_should_trigger_zero_error_never_fires():
-    zero = np.zeros((1, 2))
+    zero = np.zeros((2, 1, 2))
     rule = TriggerRule((Event(10.0, 0.1),))
     for t in (0.0, 1.0, 50.0):
-        assert not rule.fire(t, zero, zero, zero, zero)[0]
+        assert not rule.fire(t, zero, zero)[0]
 
 
 def test_should_trigger_inclusive_boundary():
-    zero = np.zeros((1, 2))
-    eta_hat = np.array([[10.0, 0.0]])
-    assert TriggerRule((Event(10.0, 0.1),)).fire(0.0, zero, zero, eta_hat, zero)[0]
+    zero = np.zeros((2, 1, 2))
+    hats = np.array([[[10.0, 0.0]], [[0.0, 0.0]]])
+    assert TriggerRule((Event(10.0, 0.1),)).fire(0.0, zero, hats)[0]
 
 
 def test_should_trigger_decayed_threshold():
     # threshold(100) = 10 * exp(-1) ~= 3.6788
     rule = TriggerRule((Event(10.0, 0.01),))
     assert rule.threshold(100.0)[0] == pytest.approx(10.0 * math.exp(-1.0))
-    zero = np.zeros((1, 2))
-    assert rule.fire(100.0, zero, zero, np.array([[3.68, 0.0]]), zero)[0]
-    assert not rule.fire(100.0, zero, zero, np.array([[3.67, 0.0]]), zero)[0]
+    zero = np.zeros((2, 1, 2))
+    assert rule.fire(100.0, zero, np.array([[[3.68, 0.0]], [[0.0, 0.0]]]))[0]
+    assert not rule.fire(100.0, zero, np.array([[[3.67, 0.0]], [[0.0, 0.0]]]))[0]
 
 
 def test_threshold_strictly_decreasing():
