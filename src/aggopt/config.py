@@ -196,6 +196,8 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
             )
         scenario = "dispatch"
         dispatch_n, dispatch_seed = int(mo.group(1)), int(mo.group(2))
+        if dispatch_n < 1:
+            raise ConfigError(f"{scen_where}: 'n' must be positive, got {scen_text!r}")
         n_agents = dispatch_n
     if scenario != "custom":
         for key in ("a", "b", "d", "price_intercept", "price_slope"):
@@ -229,6 +231,8 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
                 )
             topology = "random"
             topology_n, topology_seed = int(mo.group(1)), int(mo.group(2))
+            if topology_n < 1:
+                raise ConfigError(f"{topo_where}: 'n' must be positive, got {topo_text!r}")
     elif scenario == "der4":
         topology = "ring4"
     else:

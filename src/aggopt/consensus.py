@@ -6,6 +6,11 @@ its local signal Theta_i = (phi_i(x_i), grad_sigma f_i(x_i, eta_i1)) and by
 neighbor coupling through *last-broadcast* values. w_i is the integral
 state that removes steady-state consensus error.
 
+The network's estimator is one (2, N, 2m) block whose planes are eta and
+w, row i belonging to agent i. Its broadcasts, their neighbor coupling and
+its time derivative have the same layout, so ``eta, w = block`` unpacks
+any of them.
+
 The sensitivity block of Theta_i is evaluated at the agent's own aggregate
 estimate eta_i1, since the true aggregate is not locally available. For the
 dispatch family the sensitivity does not depend on the aggregate, so the
@@ -14,15 +19,12 @@ choice is invisible there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import Graph, laplacian
 from .problems import AggregativeProblem, sigma
 
 __all__ = [
-    "EstimatorState",
     "theta_stack",
     "initial_estimator_state",
     "broadcast_coupling",
@@ -32,70 +34,54 @@ __all__ = [
 ]
 
 
-@dataclass
-class EstimatorState:
-    """Estimator variables for the whole network; row i belongs to agent i.
-
-    ``eta`` rows stack the aggregate estimate (first m entries) and the
-    sensitivity-average estimate (last m). Each agent's last broadcast is
-    not part of this state: :func:`aggopt.engine.run` holds it as a copy of
-    the rows taken at the agent's events, the first of them at t = 0.
-    """
-
-    eta: np.ndarray      # (N, 2m)
-    w: np.ndarray        # (N, 2m)
-
-
 def theta_stack(problem: AggregativeProblem, x: np.ndarray, eta1: np.ndarray) -> np.ndarray:
     """All agents' estimator inputs as an (N, 2m) array; samples stacked on
     a leading axis of ``x`` and ``eta1`` give a (K, N, 2m) array."""
     return problem.network.theta(x, eta1)
 
 
-def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> EstimatorState:
-    """Deterministic initialization: eta_i = Theta_i(x_i(0), 0), w = 0.
+def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> np.ndarray:
+    """Deterministic initialization as the (2, N, 2m) block (eta, w):
+    eta_i = Theta_i(x_i(0), 0), w = 0.
 
     Every agent broadcasts this state at t = 0, so all measurement errors
     start at zero.
     """
     x0 = np.asarray(x0, dtype=float)
-    zeros_m = np.zeros((problem.n_agents, problem.m))
-    eta = theta_stack(problem, x0, zeros_m)
-    return EstimatorState(eta=eta, w=np.zeros_like(eta))
+    state = np.zeros((2, problem.n_agents, 2 * problem.m))
+    state[0] = theta_stack(problem, x0, np.zeros((problem.n_agents, problem.m)))
+    return state
 
 
-def broadcast_coupling(
-    lap: np.ndarray, eta_hat: np.ndarray, w_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbor sums of the PI estimator, ``(L @ eta_hat, L @ w_hat)``.
+def broadcast_coupling(lap: np.ndarray, hats: np.ndarray) -> np.ndarray:
+    """The neighbor sums of the PI estimator, ``lap @ hats`` for the
+    (2, N, 2m) broadcast block: plane 0 is L hat_eta, plane 1 is L hat_w.
 
     Row i is sum_j in N_i (hat_i - hat_j). They read broadcast values only,
     so they stay fixed until some agent broadcasts again.
     """
-    return lap @ eta_hat, lap @ w_hat
+    return lap @ hats
 
 
 def estimator_derivative(
-    eta: np.ndarray,
-    thetas: np.ndarray,
-    coupling: tuple[np.ndarray, np.ndarray],
-    delta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (eta_dot, w_dot) of the PI estimator.
+    eta: np.ndarray, thetas: np.ndarray, coupling: np.ndarray, delta: float
+) -> np.ndarray:
+    """Time derivative of the PI estimator, as a (2, N, 2m) block
+    (eta_dot, w_dot):
 
     delta * eta_dot_i = -eta_i - sum_j in N_i (hat_eta_i - hat_eta_j)
                         - sum_j in N_i (hat_w_i - hat_w_j) + Theta_i
     delta * w_dot_i   =  sum_j in N_i (hat_eta_i - hat_eta_j)
 
     The neighbor sums use broadcast values only, never true states;
-    ``coupling`` is their pair from :func:`broadcast_coupling`.
+    ``coupling`` is their block from :func:`broadcast_coupling`.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    coupling_eta, coupling_w = coupling
-    eta_dot = (-eta - coupling_eta - coupling_w + thetas) / delta
-    w_dot = coupling_eta / delta
-    return eta_dot, w_dot
+    out = np.empty(coupling.shape)
+    np.divide(-eta - coupling[0] - coupling[1] + thetas, delta, out=out[0])
+    np.divide(coupling[0], delta, out=out[1])
+    return out
 
 
 def equilibrium_residual(
@@ -122,21 +108,14 @@ def equilibrium_residual(
     res_x = problem.network.drive(x, eta1, eta[:, m:])
     thetas = theta_stack(problem, x, eta1)
     res_eta, res_w = estimator_derivative(
-        eta, thetas, broadcast_coupling(laplacian(g), eta, w), 1.0
+        eta, thetas, broadcast_coupling(laplacian(g), np.stack([eta, w])), 1.0
     )
-    return float(
-        max(
-            np.linalg.norm(res_x),
-            np.linalg.norm(res_eta.ravel()),
-            np.linalg.norm(res_w.ravel()),
-        )
-    )
+    return float(max(np.linalg.norm(res_x), np.linalg.norm(res_eta), np.linalg.norm(res_w)))
 
 
-def build_equilibrium(
-    problem: AggregativeProblem, g: Graph, x_star: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Construct estimator equilibrium values matching a decision optimum.
+def build_equilibrium(problem: AggregativeProblem, g: Graph, x_star: np.ndarray) -> np.ndarray:
+    """Estimator equilibrium matching a decision optimum, as the (2, N, 2m)
+    block (eta, w).
 
     Every eta_i is the network mean of the Theta_j evaluated at x_star with
     the converged aggregate; w solves L w = Theta - eta, which is consistent
@@ -151,4 +130,4 @@ def build_equilibrium(
     lap = laplacian(g)
     rhs = thetas - eta_star
     w_star = np.linalg.lstsq(lap, rhs, rcond=None)[0]
-    return eta_star, w_star
+    return np.stack([eta_star, w_star])

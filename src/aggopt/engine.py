@@ -19,10 +19,12 @@ loop advances everything:
      ``Q b`` recomputed on broadcast steps; it agrees with RK4 to rounding;
   3. record every ``output_stride``-th grid point.
 
-The broadcasts are one (2, N, 2m) copy of the state's estimator block,
-which the trigger rule reads whole; a broadcast step is one masked write.
-Records are rows of the flat state and of that copy, split into
-:class:`SimResult`'s fields once, after the loop.
+The estimator state, its broadcasts, their neighbor coupling and its
+derivative are (2, N, 2m) blocks (see :mod:`aggopt.consensus`). The
+broadcasts are one copy of the state's estimator block, which the trigger
+rule reads whole; a broadcast step is one masked write and one product
+``L @ hats``. Records are rows of the flat state and of that copy, split
+into :class:`SimResult`'s fields once, after the loop.
 
 Triggers are evaluated at grid points only, so detected event times are
 late by at most h; all agents broadcast at t = 0. Identical configurations
@@ -71,7 +73,7 @@ class SimConfig:
     """One closed-loop run.
 
     State layout used by the integrator is the flat vector
-    ``[x (n) | eta row-major (2 m N) | w row-major (2 m N)]``.
+    ``[x (n) | the (2, N, 2m) estimator block (eta, w), row-major]``.
     """
 
     problem: AggregativeProblem
@@ -130,19 +132,18 @@ class SimResult:
     metrics: SimMetrics
 
 
-def _split_state(y: np.ndarray, n_agents: int, two_m: int) -> tuple[np.ndarray, ...]:
-    """Views ``(x, eta, w)`` of the flat state (layout in :class:`SimConfig`)."""
-    size = n_agents * two_m
-    n = y.size - 2 * size
-    return y[:n], y[n : n + size].reshape(n_agents, two_m), y[n + size :].reshape(n_agents, two_m)
+def _split_state(y: np.ndarray, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Views ``(x, block)`` of the flat state, the block of the estimator's
+    ``shape`` (2, N, 2m) (layout in :class:`SimConfig`)."""
+    n = y.size - math.prod(shape)
+    return y[:n], y[n:].reshape(shape)
 
 
 def _state_entry(k: int, n_agents: int, two_m: int, n: int) -> str:
     """Name of flat-state index k: ``x_k``, or eta/w with agent and component."""
     if k < n:
         return f"x_{k}"
-    block, rest = divmod(k - n, n_agents * two_m)
-    agent, component = divmod(rest, two_m)
+    block, agent, component = np.unravel_index(k - n, (2, n_agents, two_m))
     return f"{('eta', 'w')[block]}[agent {agent}, component {component}]"
 
 
@@ -156,21 +157,20 @@ def decision_rates(
 def closed_loop_rhs(
     problem: AggregativeProblem,
     delta: float,
-    coupling: tuple[np.ndarray, np.ndarray],
+    coupling: np.ndarray,
     t: float,
     y: np.ndarray,
 ) -> np.ndarray:
     """Derivative of the flat state ``y`` with broadcasts held fixed, which
-    ``coupling`` (from :func:`aggopt.consensus.broadcast_coupling`) carries.
-    ``t`` is unused but lets ``rk4_step`` integrate it with the other
-    arguments bound."""
+    the (2, N, 2m) ``coupling`` (from
+    :func:`aggopt.consensus.broadcast_coupling`) carries. ``t`` is unused
+    but lets ``rk4_step`` integrate it with the other arguments bound."""
     m = problem.m
-    x, eta, _ = _split_state(y, *coupling[0].shape)
+    x, (eta, _) = _split_state(y, coupling.shape)
     eta1 = eta[:, :m]
     x_dot = decision_rates(problem, x, eta1, eta[:, m:])
     thetas = theta_stack(problem, x, eta1)
-    eta_dot, w_dot = estimator_derivative(eta, thetas, coupling, delta)
-    return np.concatenate([x_dot, eta_dot.ravel(), w_dot.ravel()])
+    return np.concatenate([x_dot, estimator_derivative(eta, thetas, coupling, delta).ravel()])
 
 
 def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -179,12 +179,12 @@ def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarra
     One probe per local coordinate, set for all agents at once; the probe is
     a power of two far above the offsets, so they drop out and the division
     by it is exact: the coefficients keep every bit."""
-    n_agents, two_m = problem.n_agents, 2 * problem.m
-    size = problem.dim + 2 * n_agents * two_m
+    n_agents, shape = problem.n_agents, (2, problem.n_agents, 2 * problem.m)
+    size = problem.dim + math.prod(shape)
     zeros = np.zeros(size)
-    x, eta, w = _split_state(np.arange(size), n_agents, two_m)
-    flat = np.hstack([x.reshape(n_agents, -1), eta, w])
-    rhs = partial(closed_loop_rhs, problem, delta, (np.zeros((n_agents, two_m)),) * 2, 0.0)
+    x, block = _split_state(np.arange(size), shape)
+    flat = np.hstack([x.reshape(n_agents, -1), block.swapaxes(0, 1).reshape(n_agents, -1)])
+    rhs = partial(closed_loop_rhs, problem, delta, np.zeros(shape), 0.0)
     offset = rhs(zeros)
     scale = 2.0 ** (math.frexp(max(1.0, np.abs(offset).max()))[1] + 80)
     a = np.empty((n_agents, flat.shape[1], flat.shape[1]))
@@ -197,7 +197,7 @@ def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarra
 
 def closed_loop_step(
     problem: AggregativeProblem, delta: float, h: float
-) -> Callable[[tuple[np.ndarray, np.ndarray]], Callable[[float, np.ndarray], np.ndarray]]:
+) -> Callable[[np.ndarray], Callable[[float, np.ndarray], np.ndarray]]:
     """``step(coupling)`` returns ``advance(t, y)``: one RK4 step of length h
     of :func:`closed_loop_rhs` with ``coupling`` held.
 
@@ -222,7 +222,7 @@ def closed_loop_step(
     p = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
     q = h * (eye + z / 2.0 + z2 / 6.0 + z3 / 24.0)
 
-    def step(coupling: tuple[np.ndarray, np.ndarray]) -> Callable[[float, np.ndarray], np.ndarray]:
+    def step(coupling: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
         qb = q @ rhs(coupling, 0.0, zeros).take(flat)[..., None]
 
         def advance(t: float, y: np.ndarray) -> np.ndarray:
@@ -235,8 +235,7 @@ def closed_loop_step(
     # irregular entries of both signs, from a ufunc the run calls anyway:
     # numpy.random or a new ufunc would add resident memory
     irregular = np.log(np.arange(2.0, 2 * flat.size - problem.dim + 2.0)) - 2.0
-    state = irregular[: flat.size]
-    coupling = tuple(irregular[flat.size :].reshape(2, problem.n_agents, -1))
+    state, coupling = _split_state(irregular, (2, problem.n_agents, 2 * problem.m))
     want = rk4_step(partial(rhs, coupling), 0.0, state, h)
     # rounding moves entries by a few 2^-53 of the state and the increment; a
     # wrong map misses by a share of the increment, which shrinks with h
@@ -257,8 +256,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     are dropped if the instance is not quadratic.
     """
     problem, g = cfg.problem, cfg.graph
-    n_agents, m, n = problem.n_agents, problem.m, problem.dim
-    two_m = 2 * m
+    n_agents, n = problem.n_agents, problem.dim
     lap = laplacian(g)
     lam = lambda_bound(lap)
     warnings = validate_scheme(cfg.schemes, lam)
@@ -271,17 +269,16 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
         )
 
     x0 = np.asarray(cfg.x0, dtype=float)
-    state = initial_estimator_state(problem, x0)
+    # every agent broadcasts its initial state at t = 0
+    hats = initial_estimator_state(problem, x0)
     h, delta, stride = cfg.h, cfg.delta, cfg.output_stride
     n_steps = max(1, int(round(cfg.t_end / h)))
 
     rule = TriggerRule(cfg.schemes)
-    entry = partial(_state_entry, n_agents=n_agents, two_m=two_m, n=n)
+    entry = partial(_state_entry, n_agents=n_agents, two_m=2 * problem.m, n=n)
     event_times: list[list[float]] = [[0.0] for _ in range(n_agents)]
 
-    y = np.concatenate([x0, state.eta.ravel(), state.w.ravel()])
-    # the estimator block of y is (eta, w); every agent broadcasts at t = 0
-    hats = y[n:].reshape(2, n_agents, two_m).copy()
+    y = np.concatenate([x0, hats.ravel()])
 
     n_records = n_steps // stride + 1
     rec_y = np.empty((n_records, y.size))
@@ -289,15 +286,15 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     rec_y[0], rec_hats[0] = y, hats
     # last set-up action, so the RK4 step of the map's check marks its end
     step = closed_loop_step(problem, delta, h)
-    advance = step(broadcast_coupling(lap, *hats))
+    advance = step(broadcast_coupling(lap, hats))
     for k in range(n_steps):
         t = k * h
         if k > 0:
-            estimator = y[n:].reshape(hats.shape)
+            _, estimator = _split_state(y, hats.shape)
             mask = rule.fire(t, estimator, hats)
             if mask.any():
                 hats[:, mask] = estimator[:, mask]
-                advance = step(broadcast_coupling(lap, *hats))
+                advance = step(broadcast_coupling(lap, hats))
                 for i in np.flatnonzero(mask):
                     event_times[i].append(t)
         y = advance(t, y)

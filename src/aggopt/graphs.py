@@ -18,6 +18,9 @@ __all__ = [
     "random_connected_graph",
 ]
 
+# real parts at or below this count as the zero eigenvalue in lambda_bound
+EIGENVALUE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -49,15 +52,6 @@ class Graph:
                 raise ValueError(f"self-loop at node {i}")
             norm.add((min(i, j), max(i, j)))
         return cls(n_nodes, frozenset(norm))
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        out = []
-        for i, j in self.edges:
-            if i == node:
-                out.append(j)
-            elif j == node:
-                out.append(i)
-        return tuple(sorted(out))
 
 
 def path(n: int) -> Graph:
@@ -102,7 +96,7 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n_nodes
 
 
-def lambda_bound(lap: np.ndarray, tol: float = 1e-9) -> float:
+def lambda_bound(lap: np.ndarray) -> float:
     """Smallest positive real part among eigenvalues of ``[[I+L, L], [-L, 0]]``.
 
     Event-trigger decay rates must stay below this value for the estimator
@@ -116,7 +110,7 @@ def lambda_bound(lap: np.ndarray, tol: float = 1e-9) -> float:
         raise ValueError("Laplacian must be square")
     block = np.block([[np.eye(n) + lap, lap], [-lap, np.zeros((n, n))]])
     real_parts = np.linalg.eigvals(block).real
-    positive = real_parts[real_parts > tol]
+    positive = real_parts[real_parts > EIGENVALUE_TOL]
     if positive.size == 0:
         raise ValueError("no eigenvalue with positive real part; malformed Laplacian")
     return float(positive.min())

@@ -19,6 +19,13 @@ __all__ = [
     "DivergenceError",
 ]
 
+# stationarity residual above which an instance is not taken as quadratic
+KKT_RESIDUAL_TOL = 1e-8
+# gradient norm at which the centralized flow stops early
+FLOW_GRAD_TOL = 1e-8
+# errors at or below this are left out of the decay fit
+DECAY_FIT_FLOOR = 1e-10
+
 
 @dataclass
 class CentralizedTrajectory:
@@ -30,7 +37,7 @@ class CentralizedTrajectory:
         return self.x[-1]
 
 
-def solve_kkt_quadratic(problem: AggregativeProblem, residual_tol: float = 1e-8) -> np.ndarray:
+def solve_kkt_quadratic(problem: AggregativeProblem) -> np.ndarray:
     """Unique minimizer of a strictly convex quadratic instance.
 
     The gradient of a quadratic cost is affine, so probing it at the basis
@@ -53,9 +60,9 @@ def solve_kkt_quadratic(problem: AggregativeProblem, residual_tol: float = 1e-8)
         raise ValueError("instance is not strictly convex: Hessian is not positive definite")
     x_star = np.linalg.solve(hess, -g0)
     residual = float(np.linalg.norm(global_gradient(problem, x_star)))
-    if residual > residual_tol:
+    if residual > KKT_RESIDUAL_TOL:
         raise ValueError(
-            f"stationarity residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"stationarity residual {residual:.3e} exceeds {KKT_RESIDUAL_TOL:.1e}; "
             "cost does not look quadratic"
         )
     return x_star
@@ -66,12 +73,11 @@ def centralized_flow(
     x0: np.ndarray,
     h: float,
     t_end: float,
-    grad_tol: float = 1e-8,
     stride: int = 1,
 ) -> CentralizedTrajectory:
     """Integrate x' = -grad f(x) with fixed 4th-order steps.
 
-    Stops early once the gradient norm drops to ``grad_tol``. The aggregate
+    Stops early once the gradient norm drops to ``FLOW_GRAD_TOL``. The aggregate
     entering every agent's gradient is recomputed exactly at each stage, so
     this is the coordinator baseline the distributed runs are compared to.
     """
@@ -94,7 +100,7 @@ def centralized_flow(
         if (k + 1) % stride == 0:
             times.append((k + 1) * h)
             states.append(x.copy())
-        if np.linalg.norm(global_gradient(problem, x)) <= grad_tol:
+        if np.linalg.norm(global_gradient(problem, x)) <= FLOW_GRAD_TOL:
             if (k + 1) % stride != 0:
                 times.append((k + 1) * h)
                 states.append(x.copy())
@@ -102,18 +108,18 @@ def centralized_flow(
     return CentralizedTrajectory(times=np.array(times), x=np.array(states))
 
 
-def fit_decay_rate(times: np.ndarray, errors: np.ndarray, floor: float = 1e-10) -> float:
+def fit_decay_rate(times: np.ndarray, errors: np.ndarray) -> float:
     """Least-squares decay rate of an error series.
 
-    Fits log(e) against t over the points with e > floor (non-positive
-    entries are dropped) and returns the negated slope, so a decaying
-    series yields a positive rate. Needs at least 10 usable points.
+    Fits log(e) against t over the points with e > ``DECAY_FIT_FLOOR``
+    (non-positive entries are dropped) and returns the negated slope, so a
+    decaying series yields a positive rate. Needs at least 10 usable points.
     """
     times = np.asarray(times, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if times.shape != errors.shape:
         raise ValueError("times and errors must have matching shapes")
-    mask = np.isfinite(errors) & (errors > floor)
+    mask = np.isfinite(errors) & (errors > DECAY_FIT_FLOOR)
     if int(mask.sum()) < 10:
         raise ValueError("fewer than 10 usable points above the error floor")
     slope = np.polyfit(times[mask], np.log(errors[mask]), 1)[0]

@@ -21,6 +21,9 @@ __all__ = [
     "zeno_bound_constants",
 ]
 
+# absolute tolerance of the bisection in zeno_lower_bound
+ZENO_BISECTION_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Continuous:
@@ -112,13 +115,13 @@ class TriggerRule:
         return mask
 
 
-def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float, tol: float = 1e-12) -> float:
+def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float) -> float:
     """Unique root T of (m1 + m2) T = beta1 exp(-beta2 T).
 
     T lower-bounds the gap between consecutive events when m1 + m2 bounds
     the growth rate of the measurement error, which is why a positive root
     rules out accumulation of events in finite time. Solved by bisection on
-    [0, beta1 / (m1 + m2)] to absolute tolerance ``tol``.
+    [0, beta1 / (m1 + m2)] to absolute tolerance ``ZENO_BISECTION_TOL``.
     """
     total = m1 + m2
     if total <= 0:
@@ -127,7 +130,7 @@ def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float, tol: floa
         raise ValueError("beta1 must be positive and beta2 nonnegative")
     lo, hi = 0.0, beta1 / total
     # g(lo) = -beta1 < 0, g(hi) >= 0
-    while hi - lo > tol:
+    while hi - lo > ZENO_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if total * mid - beta1 * math.exp(-beta2 * mid) < 0.0:
             lo = mid

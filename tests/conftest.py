@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from aggopt import make_der_instance, ring, solve_kkt_quadratic
+from aggopt import AggregativeProblem, LocalObjective, make_der_instance, ring, solve_kkt_quadratic
+
+# Three agents with decisions of sizes 1, 2, 2 and a 2-vector aggregate
+# s = (1/3) sum_i A_i x_i, each paying f_i = x_i'Q_i x_i / 2 + q_i'x_i + s'P A_i x_i.
+VECTOR_A = (
+    np.array([[1.0], [0.5]]),
+    np.array([[1.0, 0.2], [0.0, 1.0]]),
+    np.array([[0.5, 1.0], [1.0, -0.3]]),
+)
+VECTOR_Q = (
+    np.array([[2.0]]),
+    np.array([[1.5, 0.2], [0.2, 1.0]]),
+    np.array([[1.2, -0.1], [-0.1, 0.8]]),
+)
+VECTOR_LIN = (np.array([-3.0]), np.array([-2.0, 1.0]), np.array([0.5, -4.0]))
+VECTOR_P = np.array([[0.3, 0.05], [0.05, 0.2]])
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -45,3 +60,21 @@ def ring4():
 @pytest.fixture(scope="session")
 def der4_x_star(der4):
     return solve_kkt_quadratic(der4)
+
+
+def _vector_agent(a, q, lin):
+    return LocalObjective(
+        dim_x=a.shape[1],
+        cost=lambda x, s: float(0.5 * x @ q @ x + lin @ x + s @ VECTOR_P @ a @ x),
+        grad_x=lambda x, s: q @ x + lin + a.T @ VECTOR_P @ s,
+        grad_sigma=lambda x, s: VECTOR_P @ a @ x,
+        phi=lambda x: a @ x,
+        jac_phi=lambda x: a,
+    )
+
+
+@pytest.fixture(scope="session")
+def vector3():
+    """The vector-valued problem above (dim_x = 1, 2, 2 and m = 2)."""
+    agents = tuple(map(_vector_agent, VECTOR_A, VECTOR_Q, VECTOR_LIN))
+    return AggregativeProblem(agents=agents, m=2)

@@ -152,13 +152,11 @@ def test_criterion_3_estimator_consensus(der4, ring4):
     frozen2 = with_frozen_decisions(from_der_parameters(params))
     lap = laplacian(path(2))
     state = initial_estimator_state(frozen2, np.array([5.0, 6.0]))
-    thetas = theta_stack(frozen2, np.array([5.0, 6.0]), state.eta[:, :1])
+    thetas = theta_stack(frozen2, np.array([5.0, 6.0]), state[0, :, :1])
 
     def rhs(t, z):
-        eta = z[:4].reshape(2, 2)
-        w = z[4:].reshape(2, 2)
-        eta_dot, w_dot = estimator_derivative(eta, thetas, broadcast_coupling(lap, eta, w), delta)
-        return np.concatenate([eta_dot.ravel(), w_dot.ravel()])
+        block = z.reshape(state.shape)
+        return estimator_derivative(block[0], thetas, broadcast_coupling(lap, block), delta).ravel()
 
     lap2 = np.kron(lap, np.eye(2))
     aug = np.zeros((9, 9))
@@ -166,8 +164,8 @@ def test_criterion_3_estimator_consensus(der4, ring4):
         [[-np.eye(4) - lap2, -lap2], [lap2, np.zeros((4, 4))]]
     ) / delta
     aug[:8, 8] = np.concatenate([thetas.ravel(), np.zeros(4)]) / delta
-    z0_aug = np.concatenate([state.eta.ravel(), state.w.ravel(), [1.0]])
-    z = np.concatenate([state.eta.ravel(), state.w.ravel()])
+    z0_aug = np.concatenate([state.ravel(), [1.0]])
+    z = state.ravel()
     h = 2.5e-4
     worst = 0.0
     for k in range(4000):

@@ -205,9 +205,11 @@ def test_nonpositive_trigger_parameters_exit_one(tmp_path, capsys, lines, flags,
         ("", ["--tend", "-1"], "tend", "--tend"),
         ("", ["--delta", "0"], "delta", "--delta"),
         ("", ["--step", "-0.001"], "step", "--step"),
+        ("topology = random(0, 1)", [], "n", "line 2"),
+        ("", ["--scenario", "dispatch(0, 1)"], "n", "--scenario"),
     ],
     ids=["delta", "step", "tend", "stride", "stride_negative", "flag_tend", "flag_delta",
-         "flag_step"],
+         "flag_step", "topology_no_agents", "flag_scenario_no_agents"],
 )
 def test_nonpositive_run_parameters_exit_one(tmp_path, capsys, lines, flags, key, where):
     config = tmp_path / "scenario.cfg"

@@ -67,9 +67,9 @@ def test_theta_stack_matches_per_agent(der4):
 
 def test_initial_estimator_state_convention(der4):
     x0 = np.array([5.0, 6.0, 3.0, 8.0])
-    state = initial_estimator_state(der4, x0)
-    assert np.allclose(state.eta, theta_stack(der4, x0, np.zeros((4, 1))))
-    assert np.array_equal(state.w, np.zeros((4, 2)))
+    eta, w = initial_estimator_state(der4, x0)
+    assert np.allclose(eta, theta_stack(der4, x0, np.zeros((4, 1))))
+    assert np.array_equal(w, np.zeros((4, 2)))
 
 
 def test_estimator_derivative_isolated_agent_at_rest():
@@ -77,7 +77,7 @@ def test_estimator_derivative_isolated_agent_at_rest():
     theta_val = np.array([[3.0, -2.0]])
     eta = theta_val.copy()
     w = np.array([[0.4, 0.1]])
-    coupling = broadcast_coupling(lap, eta.copy(), w.copy())
+    coupling = broadcast_coupling(lap, np.stack([eta, w]))
     eta_dot, w_dot = estimator_derivative(eta, theta_val, coupling, 0.1)
     assert np.allclose(eta_dot, 0.0) and np.allclose(w_dot, 0.0)
 
@@ -88,7 +88,7 @@ def test_estimator_derivative_consensus_equilibrium(ring4, der4):
     eta = np.tile(value, (4, 1))
     w = np.zeros((4, 2))
     thetas = np.tile(value, (4, 1))
-    coupling = broadcast_coupling(lap, eta.copy(), w.copy())
+    coupling = broadcast_coupling(lap, np.stack([eta, w]))
     eta_dot, w_dot = estimator_derivative(eta, thetas, coupling, 0.1)
     assert np.allclose(eta_dot, 0.0) and np.allclose(w_dot, 0.0)
 
@@ -97,7 +97,7 @@ def test_estimator_derivative_requires_positive_delta(ring4):
     lap = laplacian(ring4)
     z = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        estimator_derivative(z, z, broadcast_coupling(lap, z, z), 0.0)
+        estimator_derivative(z, z, broadcast_coupling(lap, np.stack([z, z])), 0.0)
 
 
 def test_two_node_linear_system_matches_matrix_exponential():
@@ -112,13 +112,11 @@ def test_two_node_linear_system_matches_matrix_exponential():
     delta = 0.1
     x0 = np.array([5.0, 6.0])
     state = initial_estimator_state(frozen, x0)
-    thetas = theta_stack(frozen, x0, state.eta[:, :1])
+    thetas = theta_stack(frozen, x0, state[0, :, :1])
 
     def rhs(t, z):
-        eta = z[:4].reshape(2, 2)
-        w = z[4:].reshape(2, 2)
-        eta_dot, w_dot = estimator_derivative(eta, thetas, broadcast_coupling(lap, eta, w), delta)
-        return np.concatenate([eta_dot.ravel(), w_dot.ravel()])
+        block = z.reshape(state.shape)
+        return estimator_derivative(block[0], thetas, broadcast_coupling(lap, block), delta).ravel()
 
     lap2 = np.kron(lap, np.eye(2))
     drift = np.block([[-np.eye(4) - lap2, -lap2], [lap2, np.zeros((4, 4))]]) / delta
@@ -126,9 +124,9 @@ def test_two_node_linear_system_matches_matrix_exponential():
     aug = np.zeros((9, 9))
     aug[:8, :8] = drift
     aug[:8, 8] = forcing
-    z0_aug = np.concatenate([state.eta.ravel(), state.w.ravel(), [1.0]])
+    z0_aug = np.concatenate([state.ravel(), [1.0]])
 
-    z = np.concatenate([state.eta.ravel(), state.w.ravel()])
+    z = state.ravel()
     h = 2.5e-4
     worst = 0.0
     for k in range(4000):

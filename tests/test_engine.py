@@ -3,8 +3,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import VECTOR_A, VECTOR_LIN, VECTOR_P, VECTOR_Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from aggopt import (
     Continuous,
@@ -15,6 +17,7 @@ from aggopt import (
     SimConfig,
     broadcast_coupling,
     build_equilibrium,
+    centralized_flow,
     closed_loop_rhs,
     consensus_error,
     decision_rates,
@@ -30,6 +33,7 @@ from aggopt import (
     ring,
     run,
     sigma,
+    solve_kkt_quadratic,
     theta_stack,
     with_frozen_decisions,
 )
@@ -58,11 +62,21 @@ def event_config(der4, ring4, **overrides):
     return SimConfig(**base)
 
 
+def vector_config(vector3, **overrides):
+    """The vector-valued problem on path(3), from x0 = 0 with Event(1, 0.2)."""
+    base = dict(
+        problem=vector3, graph=path(3), delta=0.1, h=0.005, t_end=10.0,
+        x0=np.zeros(vector3.dim), schemes=(Event(1.0, 0.2),) * 3, output_stride=10,
+    )
+    base.update(overrides)
+    return SimConfig(**base)
+
+
 def rhs_parts(problem, lap, delta, x, eta, w, eta_hat, w_hat):
     """closed_loop_rhs on the flat state built from (x, eta, w), split back
     into (x_dot, eta_dot, w_dot)."""
     flat = closed_loop_rhs(
-        problem, delta, broadcast_coupling(lap, eta_hat, w_hat), 0.0,
+        problem, delta, broadcast_coupling(lap, np.stack([eta_hat, w_hat])), 0.0,
         np.concatenate([x, eta.ravel(), w.ravel()]),
     )
     n, k = x.size, eta.size
@@ -313,11 +327,13 @@ def test_consensus_error_single_agent():
     assert consensus_error(problem, x, eta)[0] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("case", ["der4", "per_agent", "dispatch15"])
-def test_consensus_error_matches_per_sample_reference(case, der4, ring4):
+@pytest.mark.parametrize("case", ["der4", "per_agent", "dispatch15", "vector"])
+def test_consensus_error_matches_per_sample_reference(case, der4, ring4, vector3):
     # one vectorized reduction over all samples; the reference is the loop
     # over samples, with the same arithmetic per sample
-    if case == "dispatch15":
+    if case == "vector":
+        problem, cfg = vector3, vector_config(vector3, t_end=1.0, output_stride=10)
+    elif case == "dispatch15":
         problem, n = make_dispatch_instance(15, 1), 15
         cfg = SimConfig(
             problem=problem, graph=random_connected_graph(n, 1), delta=0.1, h=0.005,
@@ -329,7 +345,7 @@ def test_consensus_error_matches_per_sample_reference(case, der4, ring4):
     result = run(cfg, x_star=None)
     expected = []
     for x, eta in zip(result.x, result.eta):
-        thetas = theta_stack(problem, x, eta[:, :1])
+        thetas = theta_stack(problem, x, eta[:, : problem.m])
         expected.append(np.linalg.norm(eta - thetas.mean(axis=0), axis=1).max())
     assert np.array_equal(consensus_error(problem, result.x, result.eta), expected)
 
@@ -366,6 +382,14 @@ def test_state_entry_names():
     assert names[6] == "eta[agent 1, component 1]"
     assert names[7] == "w[agent 0, component 0]"
     assert names[10] == "w[agent 1, component 1]"
+    # the vector-valued layout [x (5) | eta (3 agents x 4) | w (3 agents x 4)]
+    names = [_state_entry(k, n_agents=3, two_m=4, n=5) for k in range(29)]
+    assert names[4] == "x_4"
+    assert names[5] == "eta[agent 0, component 0]"
+    assert names[10] == "eta[agent 1, component 1]"
+    assert names[16] == "eta[agent 2, component 3]"
+    assert names[17] == "w[agent 0, component 0]"
+    assert names[28] == "w[agent 2, component 3]"
 
 
 def hand_written_rhs(problem, delta):
@@ -402,13 +426,13 @@ def reference_run(cfg, advance_of):
     problem, h = cfg.problem, cfg.h
     lap = laplacian(cfg.graph)
     x0 = np.asarray(cfg.x0, dtype=float)
-    state = initial_estimator_state(problem, x0)
-    eta_hat, w_hat = state.eta.copy(), state.w.copy()
+    eta0, w0 = initial_estimator_state(problem, x0)
+    eta_hat, w_hat = eta0.copy(), w0.copy()
     n, shape, size = x0.size, eta_hat.shape, eta_hat.size
 
     rule = TriggerRule(cfg.schemes)
     events = [[0.0] for _ in range(problem.n_agents)]
-    y = np.concatenate([x0, state.eta.ravel(), state.w.ravel()])
+    y = np.concatenate([x0, eta0.ravel(), w0.ravel()])
     states = [y]
     for k in range(round(cfg.t_end / h)):
         t = k * h
@@ -419,7 +443,7 @@ def reference_run(cfg, advance_of):
             w_hat[mask] = w[mask]
             for i in np.flatnonzero(mask):
                 events[i].append(t)
-        y = advance_of(broadcast_coupling(lap, eta_hat, w_hat))(t, y)
+        y = advance_of(broadcast_coupling(lap, np.stack([eta_hat, w_hat])))(t, y)
         states.append(y)
     return np.array(states), events
 
@@ -430,8 +454,8 @@ def flat_states(result):
     return np.hstack([result.x, result.eta.reshape(k, -1), result.w.reshape(k, -1)])
 
 
-@pytest.mark.parametrize("case", ["event", "periodic", "continuous", "per_agent"])
-def test_run_matches_reference_loop(case, der4, ring4, der4_x_star):
+@pytest.mark.parametrize("case", ["event", "periodic", "continuous", "per_agent", "vector"])
+def test_run_matches_reference_loop(case, der4, ring4, der4_x_star, vector3):
     # run() holds the coupling between broadcasts; a broadcast that does not
     # refresh it makes the trajectories part. Dispatch cases apply the
     # engine's step map, whose agreement with an RK4 step of closed_loop_rhs
@@ -441,15 +465,19 @@ def test_run_matches_reference_loop(case, der4, ring4, der4_x_star):
     }.get(case, EVENT_SCHEMES)
     problem = AggregativeProblem(agents=der4.agents, m=der4.m) if case == "per_agent" else der4
     cfg = event_config(der4, ring4, problem=problem, schemes=schemes, t_end=1.0, output_stride=1)
-    if case == "per_agent":
-        advance_of = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
-    else:
+    x_star = der4_x_star
+    if case == "vector":
+        problem, x_star = vector3, None
+        cfg = vector_config(vector3, t_end=1.0, output_stride=1)
+    if problem.network.affine:
         advance_of = closed_loop_step(problem, cfg.delta, cfg.h)
-    result = run(cfg, x_star=der4_x_star)
+    else:
+        advance_of = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
+    result = run(cfg, x_star=x_star)
     states, events = reference_run(cfg, advance_of)
     assert np.array_equal(flat_states(result), states)
     assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
-    assert result.events.total > 4 * 2  # broadcasts after t = 0 were exercised
+    assert result.events.total > 2 * problem.n_agents  # broadcasts after t = 0 were exercised
 
 
 @pytest.mark.parametrize("case", ["der4", "dispatch15"])
@@ -477,7 +505,7 @@ def random_held_state(problem, lap, rng, scale):
     n_agents, two_m = problem.n_agents, 2 * problem.m
     y = scale * rng.standard_normal(problem.dim + 2 * n_agents * two_m)
     hats = scale * rng.standard_normal((2, n_agents, two_m))
-    return y, broadcast_coupling(lap, *hats)
+    return y, broadcast_coupling(lap, hats)
 
 
 @pytest.mark.parametrize("case", ["der4", "dispatch15", "dispatch200"])
@@ -588,3 +616,17 @@ def test_decision_error_decays_and_fit_positive(der4, ring4, der4_x_star):
     errors = result.metrics.decision_error
     assert errors[-1] < errors[0] * 1e-6
     assert fit_decay_rate(result.times, errors) > 0
+
+
+def test_vector_valued_agents_converge(vector3):
+    # dim_x = 1, 2, 2 and m = 2: the Hessian is blockdiag(Q_i) + (2/N) A'PA,
+    # with A = [A_1 A_2 A_3]; both oracles and the closed loop reach its solve
+    a = np.hstack(VECTOR_A)
+    hess = block_diag(*VECTOR_Q) + (2.0 / 3.0) * a.T @ VECTOR_P @ a
+    closed_form = np.linalg.solve(hess, -np.concatenate(VECTOR_LIN))
+    x_star = solve_kkt_quadratic(vector3)
+    assert np.allclose(x_star, closed_form, rtol=0, atol=1e-12)
+    flow = centralized_flow(vector3, np.zeros(vector3.dim), 0.01, 30.0)
+    assert np.abs(flow.final - closed_form).max() <= 1e-7
+    result = run(vector_config(vector3, h=0.002), x_star=x_star)
+    assert result.metrics.relative_error <= 5e-3

@@ -51,13 +51,6 @@ def test_graph_validation():
     assert len(g.edges) == 1
 
 
-def test_neighbor_symmetry():
-    g = random_connected_graph(8, 3)
-    for i in range(8):
-        for j in g.neighbors(i):
-            assert i in g.neighbors(j)
-
-
 def test_lambda_bound_single_node():
     # block matrix [[1, 0], [0, 0]] has eigenvalues {1, 0}
     assert lambda_bound(np.array([[0.0]])) == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aggopt import Event, SimConfig, make_der_instance, ring, run, with_frozen_decisions
+from aggopt import Event, SimConfig, make_der_instance, path, ring, run, with_frozen_decisions
 from aggopt.output import trajectory_header, write_trajectory_csv
 
 
@@ -21,19 +21,20 @@ def reference_trajectory_csv(problem, result):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("frozen", [False, True], ids=["der4", "frozen_decisions"])
-def test_trajectory_csv_matches_per_value_formatting(tmp_path, frozen):
-    problem = make_der_instance()
-    if frozen:
+@pytest.mark.parametrize("case", ["der4", "frozen_decisions", "vector"])
+def test_trajectory_csv_matches_per_value_formatting(tmp_path, case, vector3):
+    problem, graph, x0 = make_der_instance(), ring(4), np.array([5.0, 6.0, 3.0, 8.0])
+    schemes = (Event(10.0, 0.01), Event(8.0, 0.1), Event(8.0, 0.15), Event(10.0, 0.05))
+    if case == "frozen_decisions":
         problem = with_frozen_decisions(problem)
+    elif case == "vector":
+        problem, graph, x0, schemes = vector3, path(3), np.zeros(5), schemes[:3]
     cfg = SimConfig(
-        problem=problem, graph=ring(4), delta=0.1, h=0.001, t_end=0.5,
-        x0=np.array([5.0, 6.0, 3.0, 8.0]),
-        schemes=(Event(10.0, 0.01), Event(8.0, 0.1), Event(8.0, 0.15), Event(10.0, 0.05)),
-        output_stride=7,
+        problem=problem, graph=graph, delta=0.1, h=0.001, t_end=0.5, x0=x0,
+        schemes=schemes, output_stride=7,
     )
     result = run(cfg)
-    assert (result.metrics.decision_error is None) == frozen
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, problem, result)
-    assert path.read_bytes() == reference_trajectory_csv(problem, result).encode()
+    assert (result.metrics.decision_error is None) == (case == "frozen_decisions")
+    csv = tmp_path / "trajectory.csv"
+    write_trajectory_csv(csv, problem, result)
+    assert csv.read_bytes() == reference_trajectory_csv(problem, result).encode()
