@@ -233,6 +233,14 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
             topology_n, topology_seed = int(mo.group(1)), int(mo.group(2))
             if topology_n < 1:
                 raise ConfigError(f"{topo_where}: 'n' must be positive, got {topo_text!r}")
+        nodes = {"ring4": 4, "random": topology_n}.get(topology)
+        if nodes is None:
+            nodes = max(max(edge) for edge in edges) + 1
+        if nodes != n_agents:
+            raise ConfigError(
+                f"{topo_where}: topology {topo_text!r} has {nodes} nodes, "
+                f"but the scenario has {n_agents} agents"
+            )
     elif scenario == "der4":
         topology = "ring4"
     else:

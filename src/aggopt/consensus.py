@@ -64,7 +64,11 @@ def broadcast_coupling(lap: np.ndarray, hats: np.ndarray) -> np.ndarray:
 
 
 def estimator_derivative(
-    eta: np.ndarray, thetas: np.ndarray, coupling: np.ndarray, delta: float
+    eta: np.ndarray,
+    thetas: np.ndarray,
+    coupling: np.ndarray,
+    delta: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time derivative of the PI estimator, as a (2, N, 2m) block
     (eta_dot, w_dot):
@@ -74,12 +78,18 @@ def estimator_derivative(
     delta * w_dot_i   =  sum_j in N_i (hat_eta_i - hat_eta_j)
 
     The neighbor sums use broadcast values only, never true states;
-    ``coupling`` is their block from :func:`broadcast_coupling`.
+    ``coupling`` is their block from :func:`broadcast_coupling`. The block
+    is written into ``out`` when given.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    out = np.empty(coupling.shape)
-    np.divide(-eta - coupling[0] - coupling[1] + thetas, delta, out=out[0])
+    if out is None:
+        out = np.empty(coupling.shape)
+    eta_dot = np.negative(eta, out=out[0])
+    eta_dot -= coupling[0]
+    eta_dot -= coupling[1]
+    eta_dot += thetas
+    eta_dot /= delta
     np.divide(coupling[0], delta, out=out[1])
     return out
 

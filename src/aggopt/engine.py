@@ -6,18 +6,33 @@ Each agent steers its decision with estimator feedback,
 
 while the PI consensus estimator runs on the fast time scale 1/delta and
 exchanges information only through last-broadcast values. One fixed-step
-loop advances everything:
+loop advances everything, a span of grid steps at a time:
 
-  1. at each grid time, evaluate every agent's trigger (the rule lives in
-     :class:`aggopt.triggers.TriggerRule`); agents that fire overwrite their
-     broadcast with the current state (the error resets);
-  2. advance (x, eta, w) one 4th-order step of :func:`closed_loop_rhs`
-     with broadcasts held constant (:func:`closed_loop_step`). The neighbor
+  1. advance (x, eta, w) by K steps of 4th order of :func:`closed_loop_rhs`
+     with the broadcasts held (:func:`closed_loop_step`). The neighbor
      coupling reads broadcasts only, so it is computed once when some agent
-     broadcasts and held in between. For the dispatch family the step is a
-     per-agent affine map ``y+ = P y + Q b`` formed once per run, with only
-     ``Q b`` recomputed on broadcast steps; it agrees with RK4 to rounding;
-  3. record every ``output_stride``-th grid point.
+     broadcasts and held in between. For the dispatch family each step is
+     a per-agent affine map ``y+ = P y + Q b`` formed once per run, with
+     only ``Q b`` recomputed on broadcast steps; it agrees with RK4 to
+     rounding;
+  2. check the K new states at once: that they are finite
+     (:func:`aggopt.integrate.ensure_finite`), then every agent's trigger
+     at their grid times (the rule lives in
+     :class:`aggopt.triggers.TriggerRule`). Agents that fire at the first
+     grid time where any does overwrite their broadcast with that state
+     (the error resets); the states after it are discarded, and the loop
+     resumes from it;
+  3. record every ``output_stride``-th grid point among the states kept.
+
+Each state is the one a step-by-step loop, checking after every step,
+computes, bit for bit, so spans change no output. A span never runs past
+a periodic agent's due step; it starts at the last gap between broadcasts
+and doubles while no agent fires, up to ``SPAN_CAP``. It is one step when
+some agent is continuous (it fires at every grid time) and for networks
+without a step map, whose discarded RK4 steps would cost more than the
+checks they save. A span whose check finds a diverged state is retraced
+one step at a time, since a broadcast before that state changes what
+follows it.
 
 The estimator state, its broadcasts, their neighbor coupling and its
 derivative are (2, N, 2m) blocks (see :mod:`aggopt.consensus`). The
@@ -66,6 +81,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Most grid steps a span advances with the broadcasts held before the
+# trigger rule and the divergence check look at its states.
+SPAN_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -168,9 +187,11 @@ def closed_loop_rhs(
     m = problem.m
     x, (eta, _) = _split_state(y, coupling.shape)
     eta1 = eta[:, :m]
-    x_dot = decision_rates(problem, x, eta1, eta[:, m:])
-    thetas = theta_stack(problem, x, eta1)
-    return np.concatenate([x_dot, estimator_derivative(eta, thetas, coupling, delta).ravel()])
+    out = np.empty(y.size)
+    x_dot, block_dot = _split_state(out, coupling.shape)
+    x_dot[:] = decision_rates(problem, x, eta1, eta[:, m:])
+    estimator_derivative(eta, theta_stack(problem, x, eta1), coupling, delta, out=block_dot)
+    return out
 
 
 def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,24 +218,42 @@ def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarra
 
 def closed_loop_step(
     problem: AggregativeProblem, delta: float, h: float
-) -> Callable[[np.ndarray], Callable[[float, np.ndarray], np.ndarray]]:
-    """``step(coupling)`` returns ``advance(t, y)``: one RK4 step of length h
-    of :func:`closed_loop_rhs` with ``coupling`` held.
+) -> Callable[[np.ndarray], Callable[[np.ndarray, int], np.ndarray]]:
+    """``step(coupling)`` returns ``advance(y, k)``: the k states after the
+    flat state y, as (k, size) rows, each one RK4 step of length h of
+    :func:`closed_loop_rhs` after the last with ``coupling`` held.
 
     For an affine network (``problem.network.affine``) RK4 on the per-agent
     blocks ``A_i`` of :func:`_probed_blocks` is exactly ``y+ = P y + Q b``,
     with ``Z = h A_i``, ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
-    ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)`` formed once; ``step`` evaluates
-    ``closed_loop_rhs`` once, at y = 0, for ``b``. The map is checked once
-    against one ``rk4_step`` of ``closed_loop_rhs`` (``ValueError`` if they
-    differ). Other networks take that ``rk4_step`` in every step.
+    ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)`` formed once. ``b`` is
+    ``closed_loop_rhs`` at y = 0, which reads the coupling only in the
+    estimator derivative: ``step`` re-evaluates that part alone. ``advance``
+    keeps the k states in the agents' gathered layout and scatters them into
+    flat rows once. The map is checked once against one ``rk4_step`` of
+    ``closed_loop_rhs`` (``ValueError`` if they differ). Other networks take
+    that ``rk4_step`` for every state.
     """
     rhs = partial(closed_loop_rhs, problem, delta)
     if not problem.network.affine:
-        return lambda coupling: partial(rk4_step, partial(rhs, coupling), h=h)
+
+        def rk4_steps(coupling: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+            field = partial(rhs, coupling)
+
+            def advance(y: np.ndarray, k: int) -> np.ndarray:
+                rows = np.empty((k, y.size))
+                for r in range(k):
+                    y = rows[r] = rk4_step(field, 0.0, y, h)
+                return rows
+
+            return advance
+
+        return rk4_steps
 
     flat, a = _probed_blocks(problem, delta)
     zeros = np.zeros(flat.size)
+    order = np.empty(flat.size, dtype=int)  # gathered position of each flat index
+    order[flat.ravel()] = np.arange(flat.size)
     z = h * a
     eye = np.eye(flat.shape[1])
     z2 = z @ z
@@ -222,25 +261,35 @@ def closed_loop_step(
     p = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
     q = h * (eye + z / 2.0 + z2 / 6.0 + z3 / 24.0)
 
-    def step(coupling: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-        qb = q @ rhs(coupling, 0.0, zeros).take(flat)[..., None]
+    # the estimator derivative's other inputs at y = 0 are fixed, and the
+    # rest of b does not read the coupling: both are evaluated once
+    shape = (2, problem.n_agents, 2 * problem.m)
+    b = rhs(np.zeros(shape), 0.0, zeros)
+    x, (eta, _) = _split_state(zeros, shape)
+    thetas = theta_stack(problem, x, eta[:, : problem.m])
 
-        def advance(t: float, y: np.ndarray) -> np.ndarray:
-            y_next = np.empty(flat.size)
-            y_next[flat] = (p @ y.take(flat)[..., None] + qb)[..., 0]
-            return y_next
+    def step(coupling: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+        estimator_derivative(eta, thetas, coupling, delta, out=_split_state(b, shape)[1])
+        qb = q @ b.take(flat)[..., None]
+
+        def advance(y: np.ndarray, k: int) -> np.ndarray:
+            gathered = np.empty((k, *flat.shape, 1))
+            g = y.take(flat)[..., None]
+            for r in range(k):
+                g = gathered[r] = p @ g + qb
+            return gathered.reshape(k, -1).take(order, axis=1)
 
         return advance
 
     # irregular entries of both signs, from a ufunc the run calls anyway:
     # numpy.random or a new ufunc would add resident memory
     irregular = np.log(np.arange(2.0, 2 * flat.size - problem.dim + 2.0)) - 2.0
-    state, coupling = _split_state(irregular, (2, problem.n_agents, 2 * problem.m))
+    state, coupling = _split_state(irregular, shape)
     want = rk4_step(partial(rhs, coupling), 0.0, state, h)
     # rounding moves entries by a few 2^-53 of the state and the increment; a
     # wrong map misses by a share of the increment, which shrinks with h
     tol = 2.0**-40 * np.abs(want - state).max() + 2.0**-46 * np.abs(state).max()
-    if not (np.abs(step(coupling)(0.0, state) - want).max() <= tol):
+    if not (np.abs(step(coupling)(state, 1)[0] - want).max() <= tol):
         raise ValueError(
             f"{type(problem.network).__name__} declares an affine closed loop, "
             "but one RK4 step of closed_loop_rhs disagrees with the step map probed from it"
@@ -273,6 +322,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     hats = initial_estimator_state(problem, x0)
     h, delta, stride = cfg.h, cfg.delta, cfg.output_stride
     n_steps = max(1, int(round(cfg.t_end / h)))
+    grid = np.arange(n_steps + 1) * h
 
     rule = TriggerRule(cfg.schemes)
     entry = partial(_state_entry, n_agents=n_agents, two_m=2 * problem.m, n=n)
@@ -287,23 +337,49 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     # last set-up action, so the RK4 step of the map's check marks its end
     step = closed_loop_step(problem, delta, h)
     advance = step(broadcast_coupling(lap, hats))
-    for k in range(n_steps):
+    # a span's states past its first broadcast are discarded: costly under
+    # per-agent RK4, and certain once some agent fires at every grid time
+    cap = SPAN_CAP if problem.network.affine and not rule.any_continuous else 1
+    k = last = 0  # grid step reached, and of the last broadcast
+    span = cap
+    while k < n_steps:
+        size = min(span, n_steps - k, max(1, rule.due_step(h) - k))
+        rows = advance(y, size)
+        times = grid[k + 1 : k + size + 1]
+        try:
+            ensure_finite(rows, times, h, entry)
+        except DivergenceError:
+            if size == 1:
+                raise
+            span = 1  # retrace one state at a time: a broadcast may come first
+            continue
+        # grid time n_steps ends the run without a trigger check
+        checked = min(size, n_steps - 1 - k)
+        fired = None
+        if checked:
+            estimators = rows[:checked, n:].reshape(checked, *hats.shape)
+            fired = rule.fire(times[:checked], estimators, hats)
+        kept = size if fired is None else fired[0] + 1
+        first = -(k + 1) % stride
+        if first < kept:
+            recorded = rows[first:kept:stride]
+            slot = (k + 1 + first) // stride
+            rec_y[slot : slot + len(recorded)] = recorded
+            rec_hats[slot : slot + len(recorded)] = hats
+        k += kept
+        y = rows[kept - 1]
+        if fired is None:
+            span = min(2 * size, cap)
+            continue
+        span, last = min(k - last, cap), k
+        row, mask = fired
+        hats[:, mask] = estimators[row][:, mask]
+        advance = step(broadcast_coupling(lap, hats))
         t = k * h
-        if k > 0:
-            _, estimator = _split_state(y, hats.shape)
-            mask = rule.fire(t, estimator, hats)
-            if mask.any():
-                hats[:, mask] = estimator[:, mask]
-                advance = step(broadcast_coupling(lap, hats))
-                for i in np.flatnonzero(mask):
-                    event_times[i].append(t)
-        y = advance(t, y)
-        ensure_finite(y, t + h, h, entry)
-        if (k + 1) % stride == 0:
-            slot = (k + 1) // stride
-            rec_y[slot], rec_hats[slot] = y, hats
+        for i in np.flatnonzero(mask):
+            event_times[i].append(t)
 
-    rec_t = (np.arange(n_records) * stride) * h
+    rec_t = grid[::stride].copy()
     rec_x, rec_estimator = rec_y[:, :n], rec_y[:, n:].reshape(rec_hats.shape)
     events = EventLog(times=tuple(np.array(ts) for ts in event_times))
     final_x = y[:n].copy()

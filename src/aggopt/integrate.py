@@ -28,16 +28,20 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarr
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def ensure_finite(y: np.ndarray, t: float, h: float, name: Callable[[int], str]) -> None:
-    """Raise :class:`DivergenceError` unless every entry of ``y`` is finite
-    and within ``STATE_LIMIT``; ``name`` labels flat index k in the message.
+def ensure_finite(
+    rows: np.ndarray, times: np.ndarray, h: float, name: Callable[[int], str]
+) -> None:
+    """Raise :class:`DivergenceError` unless every entry of the (K, n)
+    ``rows`` is finite and within ``STATE_LIMIT``. Row r is the state at
+    ``times[r]``; the message names the first offending row's time and its
+    first offending entry, labelled by ``name`` (flat index k -> label).
 
     One reduction per call: NaN fails the comparison too. The offending
     entry is located only after the check has failed.
     """
-    if not (np.abs(y).max() <= STATE_LIMIT):
-        k = int(np.flatnonzero(~(np.abs(y) <= STATE_LIMIT))[0])
+    if not (np.abs(rows).max() <= STATE_LIMIT):
+        row, k = divmod(int(np.flatnonzero(~(np.abs(rows) <= STATE_LIMIT))[0]), rows.shape[1])
         raise DivergenceError(
-            f"state diverged at t={t:.6g} (step h={h:.6g}): {name(k)} = {y[k]:.6g}; "
-            "reduce the step size"
+            f"state diverged at t={times[row]:.6g} (step h={h:.6g}): "
+            f"{name(k)} = {rows[row, k]:.6g}; reduce the step size"
         )

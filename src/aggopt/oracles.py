@@ -96,7 +96,7 @@ def centralized_flow(
     for k in range(n_steps):
         t = k * h
         x = rk4_step(rhs, t, x, h)
-        ensure_finite(x, t + h, h, "x_{}".format)
+        ensure_finite(x[None], (t + h,), h, "x_{}".format)
         if (k + 1) % stride == 0:
             times.append((k + 1) * h)
             states.append(x.copy())

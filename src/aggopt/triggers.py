@@ -23,6 +23,8 @@ __all__ = [
 
 # absolute tolerance of the bisection in zeno_lower_bound
 ZENO_BISECTION_TOL = 1e-12
+# a periodic agent falls due this much before a whole number of periods
+DUE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,11 @@ class EventLog:
 class TriggerRule:
     """Every agent's broadcast rule at once, for one run of validated schemes:
     it keeps the periodic agents' next due times, which start one period
-    after the broadcast every agent makes at t = 0."""
+    after the broadcast every agent makes at t = 0.
+
+    :meth:`fire` checks a span of K grid times, with the broadcasts held, in
+    one pass: arrays carry a leading grid-time axis, and the first time at
+    which some agent fires ends the span."""
 
     def __init__(self, schemes: Sequence[TriggerScheme]) -> None:
         self.continuous = np.array([isinstance(s, Continuous) for s in schemes])
@@ -87,32 +93,59 @@ class TriggerRule:
         self.beta1 = np.array([getattr(s, "beta1", 0.0) for s in schemes], dtype=float)
         self.beta2 = np.array([getattr(s, "beta2", 0.0) for s in schemes], dtype=float)
         self.next_due = self.period.copy()
+        self.any_continuous = bool(self.continuous.any())
         self.any_periodic = bool(self.periodic.any())
         self.any_event = bool(self.event.any())
 
-    def threshold(self, t: float) -> np.ndarray:
-        """Per-agent event threshold beta1 * exp(-beta2 * t); 0 for other agents."""
+    def threshold(self, t: float | np.ndarray) -> np.ndarray:
+        """Per-agent event threshold beta1 * exp(-beta2 * t); 0 for other
+        agents. A column of times gives one row per time."""
         return self.beta1 * np.exp(-self.beta2 * t)
 
-    def fire(self, t: float, estimator: np.ndarray, hats: np.ndarray) -> np.ndarray:
-        """Mask of the agents that broadcast at grid time t, from the (2, N, 2m)
-        blocks of (eta, w) and of their last broadcasts.
+    def due_step(self, h: float) -> float:
+        """Index k of the grid time k h at which the next periodic agent
+        falls due (rounding may put it one step off); inf without periodic
+        agents."""
+        if not self.any_periodic:
+            return math.inf
+        return math.ceil((self.next_due.min() - DUE_SLACK) / h)
+
+    def fire(
+        self, times: np.ndarray, estimators: np.ndarray, hats: np.ndarray
+    ) -> tuple[int, np.ndarray] | None:
+        """The first of K grid times at which some agent broadcasts, as
+        ``(row, mask)``, or None if no agent does at any of them.
+
+        ``times`` (K,) are grid times in order, ``estimators`` the (K, 2, N,
+        2m) blocks of (eta, w) at those times and ``hats`` the (2, N, 2m)
+        block of last broadcasts, held over all K rows. Each row is decided
+        with the arithmetic of a call with that row alone.
 
         Continuous agents always fire. A periodic agent fires once t reaches
-        its due time, which then advances by one period. An event agent fires
-        when the norm of its stacked broadcast-minus-true error reaches the
-        threshold (inclusive comparison).
+        its due time less ``DUE_SLACK``; the due time then advances by one
+        period, for the returned row only. An event agent fires when the norm of its stacked
+        broadcast-minus-true error reaches the threshold (inclusive
+        comparison).
         """
-        mask = self.continuous.copy()
-        if self.any_periodic:
-            due = self.periodic & (t >= self.next_due - 1e-9)
-            mask |= due
-            self.next_due[due] += self.period[due]
+        t = times[:, None]
         if self.any_event:
-            d = hats - estimator
-            err = np.sqrt(np.einsum("kij,kij->i", d, d))
-            mask |= self.event & (err >= self.threshold(t))
-        return mask
+            d = hats - estimators
+            err = np.sqrt(np.einsum("rkij,rkij->ri", d, d))
+            fires = self.event & (err >= self.threshold(t))
+        else:
+            fires = np.zeros((times.size, self.event.size), dtype=bool)
+        if self.any_periodic:
+            due = self.periodic & (t >= self.next_due - DUE_SLACK)
+            fires |= due
+        if self.any_continuous:
+            fires |= self.continuous
+        first = int(fires.argmax())
+        if not fires.ravel()[first]:
+            return None
+        row = first // self.event.size
+        if self.any_periodic:
+            self.next_due[due[row]] += self.period[due[row]]
+        return row, fires[row]
 
 
 def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float) -> float:

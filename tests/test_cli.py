@@ -225,6 +225,30 @@ def test_nonpositive_run_parameters_exit_one(tmp_path, capsys, lines, flags, key
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, lines, nodes, agents",
+    [
+        ("der4", "topology = random(3, 1)", 3, 4),
+        ("der4", "topology = edges\nedges = 0-1, 1-2", 3, 4),
+        ("dispatch(5, 1)", "topology = ring4", 4, 5),
+    ],
+    ids=["random", "edges", "ring4"],
+)
+def test_topology_size_mismatch_exits_one(tmp_path, capsys, scenario, lines, nodes, agents):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"scenario = {scenario}\n{lines}\n")
+    topology = lines.splitlines()[0].split("= ")[1]
+    for command in ("dump-config", "run"):
+        code = run_cli([
+            command, "--scenario", f"file({config})", "--output", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (f"line 2: topology '{topology}' has {nodes} nodes, "
+                f"but the scenario has {agents} agents") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point_runs_main():
     src = Path(aggopt.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])

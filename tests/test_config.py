@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,13 @@ def test_scenario_builders():
 
 
 def test_to_sim_config_checks_sizes():
-    sc = parse_config("scenario = dispatch(5, 1)\ntopology = ring4\n")
+    # resolve_config rejects the mismatch first, naming its line; to_sim_config
+    # still checks a ScenarioConfig that was not resolved from text
+    with pytest.raises(ConfigError, match="line 2: topology 'ring4' has 4 nodes"):
+        parse_config("scenario = dispatch(5, 1)\ntopology = ring4\n")
+    sc = dataclasses.replace(
+        parse_config("scenario = dispatch(5, 1)\n"), topology="ring4", topology_n=None
+    )
     with pytest.raises(ConfigError, match="nodes"):
         to_sim_config(sc)
     cfg = to_sim_config(parse_config("scenario = der4\n"))

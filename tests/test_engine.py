@@ -37,8 +37,9 @@ from aggopt import (
     theta_stack,
     with_frozen_decisions,
 )
+from aggopt import engine
 from aggopt.engine import _probed_blocks, _state_entry, closed_loop_step
-from aggopt.integrate import rk4_step
+from aggopt.integrate import STATE_LIMIT, ensure_finite, rk4_step
 from aggopt.problems import (
     AggregativeProblem,
     DerParameters,
@@ -415,14 +416,21 @@ def hand_written_rhs(problem, delta):
 
 def rk4_of(rhs_of, h):
     """``advance_of(coupling)``: one ``rk4_step`` of ``rhs_of(coupling)``."""
-    return lambda coupling: partial(rk4_step, rhs_of(coupling), h=h)
+    return lambda coupling: partial(rk4_step, rhs_of(coupling), 0.0, h=h)
+
+
+def map_of(problem, delta, h):
+    """``advance_of(coupling)``: one state of the engine's step map."""
+    step = closed_loop_step(problem, delta, h)
+    return lambda coupling: lambda y: step(coupling)(y, 1)[0]
 
 
 def reference_run(cfg, advance_of):
     """The closed loop written out step by step: each step applies
-    ``advance_of(coupling)``, with the neighbor coupling rebuilt from the
-    current broadcasts in every step. Returns the state after every step
-    (rows) and the per-agent event times."""
+    ``advance_of(coupling)`` to the state, with the neighbor coupling
+    rebuilt from the current broadcasts in every step, and the trigger rule
+    sees one grid time at a time. Returns the state after every step (rows)
+    and the per-agent event times."""
     problem, h = cfg.problem, cfg.h
     lap = laplacian(cfg.graph)
     x0 = np.asarray(cfg.x0, dtype=float)
@@ -438,12 +446,14 @@ def reference_run(cfg, advance_of):
         t = k * h
         if k > 0:
             eta, w = y[n : n + size].reshape(shape), y[n + size :].reshape(shape)
-            mask = rule.fire(t, np.stack([eta, w]), np.stack([eta_hat, w_hat]))
-            eta_hat[mask] = eta[mask]
-            w_hat[mask] = w[mask]
-            for i in np.flatnonzero(mask):
-                events[i].append(t)
-        y = advance_of(broadcast_coupling(lap, np.stack([eta_hat, w_hat])))(t, y)
+            fired = rule.fire(np.array([t]), np.stack([eta, w])[None], np.stack([eta_hat, w_hat]))
+            if fired is not None:
+                mask = fired[1]
+                eta_hat[mask] = eta[mask]
+                w_hat[mask] = w[mask]
+                for i in np.flatnonzero(mask):
+                    events[i].append(t)
+        y = advance_of(broadcast_coupling(lap, np.stack([eta_hat, w_hat])))(y)
         states.append(y)
     return np.array(states), events
 
@@ -454,14 +464,21 @@ def flat_states(result):
     return np.hstack([result.x, result.eta.reshape(k, -1), result.w.reshape(k, -1)])
 
 
-@pytest.mark.parametrize("case", ["event", "periodic", "continuous", "per_agent", "vector"])
+@pytest.mark.parametrize(
+    "case", ["event", "periodic", "continuous", "per_agent", "vector", "dispatch15", "mixed"]
+)
 def test_run_matches_reference_loop(case, der4, ring4, der4_x_star, vector3):
-    # run() holds the coupling between broadcasts; a broadcast that does not
-    # refresh it makes the trajectories part. Dispatch cases apply the
-    # engine's step map, whose agreement with an RK4 step of closed_loop_rhs
-    # is tested on its own.
+    # run() advances spans of grid steps with the broadcasts held and checks
+    # the trigger rule once per span; the reference checks it at every grid
+    # time and rebuilds the coupling in every step, so a span that runs past
+    # a broadcast, or a broadcast that does not refresh the coupling, makes
+    # the trajectories part. Dispatch cases apply the engine's step map,
+    # whose agreement with an RK4 step of closed_loop_rhs is tested on its
+    # own. dispatch15 fires at almost every grid time and records every
+    # third state; mixed holds event and periodic agents.
     schemes = {
         "periodic": (Periodic(0.02),) * 4, "continuous": (Continuous(),) * 4,
+        "mixed": (EVENT_SCHEMES[0], Periodic(0.02), EVENT_SCHEMES[2], Periodic(0.035)),
     }.get(case, EVENT_SCHEMES)
     problem = AggregativeProblem(agents=der4.agents, m=der4.m) if case == "per_agent" else der4
     cfg = event_config(der4, ring4, problem=problem, schemes=schemes, t_end=1.0, output_stride=1)
@@ -469,15 +486,51 @@ def test_run_matches_reference_loop(case, der4, ring4, der4_x_star, vector3):
     if case == "vector":
         problem, x_star = vector3, None
         cfg = vector_config(vector3, t_end=1.0, output_stride=1)
+    if case == "dispatch15":
+        problem, x_star = make_dispatch_instance(15, 1), None
+        cfg = SimConfig(
+            problem=problem, graph=random_connected_graph(15, 1), delta=0.1, h=0.005,
+            t_end=2.0, x0=np.zeros(15), schemes=(Event(6.0, 0.15),) * 15, output_stride=3,
+        )
     if problem.network.affine:
-        advance_of = closed_loop_step(problem, cfg.delta, cfg.h)
+        advance_of = map_of(problem, cfg.delta, cfg.h)
     else:
         advance_of = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
     result = run(cfg, x_star=x_star)
     states, events = reference_run(cfg, advance_of)
-    assert np.array_equal(flat_states(result), states)
+    assert np.array_equal(flat_states(result), states[:: cfg.output_stride])
     assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
     assert result.events.total > 2 * problem.n_agents  # broadcasts after t = 0 were exercised
+
+
+def test_divergence_inside_a_span_matches_reference_loop(monkeypatch):
+    # periodic(0.05) agents at h = 0.005 bound the spans to ten steps. The
+    # state crosses STATE_LIMIT inside one, after an event agent has fired
+    # in it: run() must name the grid time and entry of the first offending
+    # state of the trajectory that broadcast, as a check after every step does
+    problem, n = make_dispatch_instance(100, 1), 100
+    cfg = SimConfig(
+        problem=problem, graph=random_connected_graph(n, 1), delta=0.1, h=0.005, t_end=0.6,
+        x0=np.zeros(n), schemes=(Periodic(0.05),) * 50 + (Event(1e10, 0.1),) * 50,
+        output_stride=10,
+    )
+    checked = []
+
+    def spy(rows, times, h, name):
+        checked.append(len(rows))
+        ensure_finite(rows, times, h, name)
+
+    monkeypatch.setattr(engine, "ensure_finite", spy)
+    with pytest.raises(DivergenceError) as raised:
+        run(cfg, x_star=None)
+    assert max(checked) == 10  # the state was checked once per span, not per step
+    states, _ = reference_run(cfg, map_of(problem, cfg.delta, cfg.h))
+    step, entry = np.argwhere(~(np.abs(states) <= STATE_LIMIT))[0]
+    name = _state_entry(entry, n_agents=n, two_m=2, n=n)
+    assert f"at t={step * cfg.h:.6g} (step h=0.005): {name} = {states[step, entry]:.6g};" in str(
+        raised.value
+    )
+    assert 0.5 < step * cfg.h < 0.6
 
 
 @pytest.mark.parametrize("case", ["der4", "dispatch15"])
@@ -520,7 +573,7 @@ def test_closed_loop_step_matches_rk4_of_rhs(case, der4):
         for _ in range(5):
             y, coupling = random_held_state(problem, lap, rng, scale)
             exact = rk4_step(partial(closed_loop_rhs, problem, 0.1, coupling), 0.0, y, h)
-            got = step(coupling)(0.0, y)
+            got = step(coupling)(y, 1)[0]
             assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact - y)
 
 
@@ -546,7 +599,7 @@ def test_per_agent_field_is_closed_loop_rhs(der4, ring4):
     generic = AggregativeProblem(agents=der4.agents, m=der4.m)
     lap = laplacian(ring4)
     y, coupling = random_held_state(generic, lap, np.random.default_rng(3), 10.0)
-    got = closed_loop_step(generic, 0.1, 1e-3)(coupling)(0.5, y)
+    got = closed_loop_step(generic, 0.1, 1e-3)(coupling)(y, 1)[0]
     exact = rk4_step(partial(closed_loop_rhs, generic, 0.1, coupling), 0.5, y, 1e-3)
     assert np.array_equal(got, exact)
 
@@ -605,7 +658,7 @@ def test_field_conserves_estimator_sums(n_agents, seed, delta, scale):
     expected = (thetas.sum(0) - eta.sum(0)) / delta
     assert np.all(np.abs(eta_dot.sum(0) - expected) <= 1e-12 * magnitude)
     h = delta / 20.0
-    w_next = closed_loop_step(problem, delta, h)(coupling)(0.0, y)[n + k :].reshape(n_agents, -1)
+    w_next = closed_loop_step(problem, delta, h)(coupling)(y, 1)[0, n + k :].reshape(n_agents, -1)
     rounding = 1e-13 * (np.abs(w).sum(0) + h * np.abs(coupling).sum(0).sum(0) / delta)
     assert np.all(np.abs(w_next.sum(0) - w.sum(0)) <= rounding)
 

@@ -18,11 +18,17 @@ from aggopt import (
 from aggopt.triggers import TriggerRule
 
 
+def fire_once(rule, t, estimator, hats):
+    """The rule's mask at the single grid time t (all False if no agent fires)."""
+    fired = rule.fire(np.array([t]), estimator[None], hats)
+    return np.zeros(hats.shape[1], dtype=bool) if fired is None else fired[1]
+
+
 def test_measurement_error_zero_after_broadcast():
     eta = np.random.default_rng(0).normal(size=(3, 2))
     w = np.random.default_rng(1).normal(size=(3, 2))
     rule = TriggerRule((Event(1e-300, 0.1),) * 3)
-    assert not rule.fire(0.0, np.stack([eta, w]), np.stack([eta, w])).any()
+    assert not fire_once(rule, 0.0, np.stack([eta, w]), np.stack([eta, w])).any()
 
 
 def test_measurement_error_three_four_five():
@@ -31,21 +37,21 @@ def test_measurement_error_three_four_five():
     w = np.zeros((1, 2))
     estimator = np.stack([eta, w])
     hats = np.stack([eta + np.array([[3.0, 0.0]]), w + np.array([[4.0, 0.0]])])
-    assert TriggerRule((Event(5.0, 0.1),)).fire(0.0, estimator, hats)[0]
-    assert not TriggerRule((Event(5.0 + 1e-9, 0.1),)).fire(0.0, estimator, hats)[0]
+    assert fire_once(TriggerRule((Event(5.0, 0.1),)), 0.0, estimator, hats)[0]
+    assert not fire_once(TriggerRule((Event(5.0 + 1e-9, 0.1),)), 0.0, estimator, hats)[0]
 
 
 def test_should_trigger_zero_error_never_fires():
     zero = np.zeros((2, 1, 2))
     rule = TriggerRule((Event(10.0, 0.1),))
     for t in (0.0, 1.0, 50.0):
-        assert not rule.fire(t, zero, zero)[0]
+        assert not fire_once(rule, t, zero, zero)[0]
 
 
 def test_should_trigger_inclusive_boundary():
     zero = np.zeros((2, 1, 2))
     hats = np.array([[[10.0, 0.0]], [[0.0, 0.0]]])
-    assert TriggerRule((Event(10.0, 0.1),)).fire(0.0, zero, hats)[0]
+    assert fire_once(TriggerRule((Event(10.0, 0.1),)), 0.0, zero, hats)[0]
 
 
 def test_should_trigger_decayed_threshold():
@@ -53,8 +59,8 @@ def test_should_trigger_decayed_threshold():
     rule = TriggerRule((Event(10.0, 0.01),))
     assert rule.threshold(100.0)[0] == pytest.approx(10.0 * math.exp(-1.0))
     zero = np.zeros((2, 1, 2))
-    assert rule.fire(100.0, zero, np.array([[[3.68, 0.0]], [[0.0, 0.0]]]))[0]
-    assert not rule.fire(100.0, zero, np.array([[[3.67, 0.0]], [[0.0, 0.0]]]))[0]
+    assert fire_once(rule, 100.0, zero, np.array([[[3.68, 0.0]], [[0.0, 0.0]]]))[0]
+    assert not fire_once(rule, 100.0, zero, np.array([[[3.67, 0.0]], [[0.0, 0.0]]]))[0]
 
 
 def test_threshold_strictly_decreasing():
@@ -62,6 +68,87 @@ def test_threshold_strictly_decreasing():
     grid = np.linspace(0.0, 30.0, 200)
     values = [rule.threshold(t)[0] for t in grid]
     assert np.all(np.diff(values) < 0)
+
+
+def broadcasts_by_spans(schemes, times, estimators, hats, span):
+    """(grid index, mask) of every broadcast and the final due times, from
+    checks of up to ``span`` grid times each; a check resumes after the
+    first time that fires, whose states become the broadcasts."""
+    rule, hats, found, k = TriggerRule(schemes), hats.copy(), [], 0
+    while k < len(times):
+        fired = rule.fire(times[k : k + span], estimators[k : k + span], hats)
+        if fired is None:
+            k += span
+            continue
+        row, mask = fired
+        k += row
+        hats[:, mask] = estimators[k][:, mask]
+        found.append((k, mask))
+        k += 1
+    return found, rule.next_due
+
+
+def assert_spans_match_single_rows(schemes, times, estimators, hats):
+    expected, due = broadcasts_by_spans(schemes, times, estimators, hats, 1)
+    for span in (2, 3, 7, len(times)):
+        got, got_due = broadcasts_by_spans(schemes, times, estimators, hats, span)
+        assert [k for k, _ in got] == [k for k, _ in expected]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, expected))
+        assert np.array_equal(got_due, due)
+    return expected
+
+
+def test_multi_row_check_three_four_five_boundary():
+    # the error reaches exactly 5 at row 3, at t = 0 where the threshold is beta1
+    estimators = np.zeros((6, 2, 2, 2))
+    estimators[3:, 0, :, 0] = 3.0
+    estimators[3:, 1, :, 0] = 4.0
+    times = np.zeros(6)
+    rule = TriggerRule((Event(5.0, 0.1), Event(5.0 + 1e-9, 0.1)))
+    row, mask = rule.fire(times, estimators, np.zeros((2, 2, 2)))
+    assert row == 3 and mask.tolist() == [True, False]
+    found = assert_spans_match_single_rows(
+        (Event(5.0, 0.1), Event(5.0 + 1e-9, 0.1)), times, estimators, np.zeros((2, 2, 2))
+    )
+    assert [k for k, _ in found] == [3]
+    assert TriggerRule((Event(5.0 + 1e-9, 0.1),) * 2).fire(
+        times, estimators, np.zeros((2, 2, 2))) is None
+
+
+def test_multi_row_check_periodic_slack():
+    # due at 0.02 less the 1e-9 slack: 0.02 - 2e-9 is early, 0.02 - 5e-10 is not
+    times = np.array([0.019, 0.02 - 2e-9, 0.02 - 5e-10, 0.021, 0.03, 0.04 - 5e-10, 0.045])
+    zero = np.zeros((len(times), 2, 2, 2))
+    rule = TriggerRule((Periodic(0.02), Periodic(0.03)))
+    row, mask = rule.fire(times, zero, zero[0])
+    assert row == 2 and mask.tolist() == [True, False]
+    assert rule.next_due.tolist() == [0.04, 0.03]  # only the returned row advanced it
+    found = assert_spans_match_single_rows(
+        (Periodic(0.02), Periodic(0.03)), times, zero, zero[0]
+    )
+    assert [(k, m.tolist()) for k, m in found] == [
+        (2, [True, False]), (4, [False, True]), (5, [True, False])
+    ]
+
+
+@pytest.mark.parametrize("kinds", ["event", "periodic", "continuous", "mixed", "mixed_continuous"])
+def test_multi_row_check_matches_single_rows(kinds):
+    # random rows whose errors straddle the thresholds: a check of K rows
+    # finds the broadcasts, masks and due times of K single-row checks
+    rng = np.random.default_rng(len(kinds))
+    n_agents, h = 5, 0.01
+    pool = {
+        "event": [Event(1.0, 0.5), Event(0.5, 0.1)],
+        "periodic": [Periodic(0.03), Periodic(0.05 + 1e-10)],
+        "continuous": [Continuous()],
+    }
+    kinds = {"mixed": ["event", "periodic"], "mixed_continuous": list(pool)}.get(kinds, [kinds])
+    for _ in range(20):
+        options = [s for kind in kinds for s in pool[kind]]
+        schemes = tuple(options[i] for i in rng.integers(len(options), size=n_agents))
+        times = np.arange(1, 61) * h
+        estimators = rng.normal(scale=0.4, size=(60, 2, n_agents, 2))
+        assert_spans_match_single_rows(schemes, times, estimators, np.zeros((2, n_agents, 2)))
 
 
 def test_zeno_lower_bound_linear_cases():
