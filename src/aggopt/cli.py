@@ -66,7 +66,8 @@ def _flag_entries(args: argparse.Namespace) -> dict[str, tuple[str, str]]:
     return entries
 
 
-def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
+def _scenario_entries(args: argparse.Namespace) -> dict[str, tuple[str, str]]:
+    """The config entries of ``--scenario`` and the other flags."""
     if args.scenario is None:
         raise ConfigError("scenario required")
     mo = re.fullmatch(r"file\((.+)\)", args.scenario)
@@ -76,7 +77,11 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     else:
         entries = {"scenario": (args.scenario, "--scenario")}
     entries.update(_flag_entries(args))
-    return resolve_config(entries)
+    return entries
+
+
+def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
+    return resolve_config(_scenario_entries(args))
 
 
 def _check_positive_finite(value: float, flag: str) -> None:
@@ -84,6 +89,11 @@ def _check_positive_finite(value: float, flag: str) -> None:
     called before any run starts, so nothing is computed or written."""
     if not 0 < value < math.inf:
         raise ValueError(f"{flag}: must be positive and finite, got {value:g}")
+
+
+def _error_text(rel: float | None) -> str:
+    """A relative error as printed; "n/a" where the optimum is 0."""
+    return "n/a" if rel is None else f"{rel:.3e}"
 
 
 def _rate_bound(problem) -> tuple[float | None, float | None, float | None]:
@@ -157,9 +167,9 @@ def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> d
 def _cmd_run(args: argparse.Namespace) -> int:
     sc = _load_scenario(args)
     summary = run_scenario(sc, compare_periodic=args.compare_periodic)
-    rel = summary["relative_error"]
+    rel = _error_text(summary["relative_error"])
     print(f"wrote {sc.output_dir}/trajectory.csv, events.csv, summary.json")
-    print(f"relative error vs oracle: {rel:.3e}; broadcasts: {summary['events']['total']}")
+    print(f"relative error vs oracle: {rel}; broadcasts: {summary['events']['total']}")
     if summary.get("comparison"):
         comp = summary["comparison"]
         print(
@@ -188,7 +198,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    sc = _load_scenario(args)
+    entries = _scenario_entries(args)
+    sc = resolve_config(entries)
     try:
         deltas = [float(v) for v in args.deltas.split(",")]
     except ValueError:
@@ -198,12 +209,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base_dir = Path(sc.output_dir)
     records = []
     for delta in deltas:
-        sub = replace(
-            sc,
-            delta=delta,
-            step=delta / 100.0 if args.step is None else sc.step,
-            output_dir=str(base_dir / f"delta_{delta:g}"),
-        )
+        sub = resolve_config({
+            **entries,
+            "delta": (repr(delta), "--deltas"),
+            "output": (str(base_dir / f"delta_{delta:g}"), "--output"),
+        })
         summary = run_scenario(sub)
         records.append(
             {
@@ -213,7 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "total_broadcasts": summary["events"]["total"],
             }
         )
-        print(f"delta={delta:g}: relative error {summary['relative_error']:.3e}")
+        print(f"delta={delta:g}: relative error {_error_text(summary['relative_error'])}")
     base_dir.mkdir(parents=True, exist_ok=True)
     write_summary(base_dir / "sweep_summary.json", {"runs": records})
     return 0

@@ -249,8 +249,14 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
         topology_seed = dispatch_seed if dispatch_seed is not None else 0
     if "edges" in entries and topology != "edges":
         raise ConfigError("'edges' key is only valid with topology = edges")
-    if topology == "random" and seed is not None:
-        topology_seed = seed
+    if seed is not None:
+        if topology == "random":
+            topology_seed = seed
+        elif scenario != "dispatch":
+            raise ConfigError(
+                f"{entries['seed'][1]}: 'seed' is only valid with scenario = dispatch(n, seed) "
+                "or topology = random(n, seed)"
+            )
 
     beta1 = beta2 = None
     period = None

@@ -15,24 +15,23 @@ loop advances everything, a span of grid steps at a time:
      a per-agent affine map ``y+ = P y + Q b`` formed once per run, with
      only ``Q b`` recomputed on broadcast steps; it agrees with RK4 to
      rounding;
-  2. check the K new states at once: that they are finite
-     (:func:`aggopt.integrate.ensure_finite`), then every agent's trigger
-     at their grid times (the rule lives in
-     :class:`aggopt.triggers.TriggerRule`). Agents that fire at the first
-     grid time where any does overwrite their broadcast with that state
-     (the error resets); the states after it are discarded, and the loop
-     resumes from it;
+  2. check the K new states at once: every agent's trigger at their grid
+     times (the rule lives in :class:`aggopt.triggers.TriggerRule`), then
+     that the states kept are finite
+     (:func:`aggopt.integrate.ensure_finite`). Agents that fire at the
+     first grid time where any does overwrite their broadcast with that
+     state (the error resets); the states after it are discarded, and the
+     loop resumes from it;
   3. record every ``output_stride``-th grid point among the states kept.
 
 Each state is the one a step-by-step loop, checking after every step,
-computes, bit for bit, so spans change no output. A span never runs past
-a periodic agent's due step; it starts at the last gap between broadcasts
-and doubles while no agent fires, up to ``SPAN_CAP``. It is one step when
-some agent is continuous (it fires at every grid time) and for networks
-without a step map, whose discarded RK4 steps would cost more than the
-checks they save. A span whose check finds a diverged state is retraced
-one step at a time, since a broadcast before that state changes what
-follows it.
+computes, bit for bit, so spans change no output. The states before the
+first diverged one are finite, so the first broadcast among them is found
+exactly; if none comes first, the divergence check stops the run at that
+state. A span never runs past a periodic agent's due step; it starts at
+the last gap between broadcasts and doubles while no agent fires, up to
+``SPAN_CAP``. It is one step for networks without a step map, whose
+discarded RK4 steps would cost more than the checks they save.
 
 The estimator state, its broadcasts, their neighbor coupling and its
 derivative are (2, N, 2m) blocks (see :mod:`aggopt.consensus`). The
@@ -326,7 +325,8 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
 
     rule = TriggerRule(cfg.schemes)
     entry = partial(_state_entry, n_agents=n_agents, two_m=2 * problem.m, n=n)
-    event_times: list[list[float]] = [[0.0] for _ in range(n_agents)]
+    # (grid step, agent mask) of every broadcast, split per agent after the loop
+    broadcasts = [(0, np.ones(n_agents, dtype=bool))]
 
     y = np.concatenate([x0, hats.ravel()])
 
@@ -338,21 +338,14 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     step = closed_loop_step(problem, delta, h)
     advance = step(broadcast_coupling(lap, hats))
     # a span's states past its first broadcast are discarded: costly under
-    # per-agent RK4, and certain once some agent fires at every grid time
-    cap = SPAN_CAP if problem.network.affine and not rule.any_continuous else 1
-    k = last = 0  # grid step reached, and of the last broadcast
+    # per-agent RK4
+    cap = SPAN_CAP if problem.network.affine else 1
+    k = 0  # grid step reached
     span = cap
     while k < n_steps:
         size = min(span, n_steps - k, max(1, rule.due_step(h) - k))
         rows = advance(y, size)
         times = grid[k + 1 : k + size + 1]
-        try:
-            ensure_finite(rows, times, h, entry)
-        except DivergenceError:
-            if size == 1:
-                raise
-            span = 1  # retrace one state at a time: a broadcast may come first
-            continue
         # grid time n_steps ends the run without a trigger check
         checked = min(size, n_steps - 1 - k)
         fired = None
@@ -360,6 +353,8 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
             estimators = rows[:checked, n:].reshape(checked, *hats.shape)
             fired = rule.fire(times[:checked], estimators, hats)
         kept = size if fired is None else fired[0] + 1
+        # after the trigger rule: a broadcast before a diverged state changes it
+        ensure_finite(rows[:kept], times, h, entry)
         first = -(k + 1) % stride
         if first < kept:
             recorded = rows[first:kept:stride]
@@ -371,17 +366,16 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
         if fired is None:
             span = min(2 * size, cap)
             continue
-        span, last = min(k - last, cap), k
+        span = min(k - broadcasts[-1][0], cap)
         row, mask = fired
         hats[:, mask] = estimators[row][:, mask]
         advance = step(broadcast_coupling(lap, hats))
-        t = k * h
-        for i in np.flatnonzero(mask):
-            event_times[i].append(t)
+        broadcasts.append((k, mask))
 
     rec_t = grid[::stride].copy()
     rec_x, rec_estimator = rec_y[:, :n], rec_y[:, n:].reshape(rec_hats.shape)
-    events = EventLog(times=tuple(np.array(ts) for ts in event_times))
+    steps, masks = map(np.array, zip(*broadcasts))
+    events = EventLog(times=tuple(grid[steps[mask]] for mask in masks.T))
     final_x = y[:n].copy()
 
     if x_star is None:
@@ -394,7 +388,9 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     fitted = None
     if x_star is not None:
         decision_error = np.linalg.norm(rec_x - x_star, axis=1)
-        relative_error = float(np.linalg.norm(final_x - x_star) / np.linalg.norm(x_star))
+        scale = np.linalg.norm(x_star)
+        if scale > 0:  # undefined at the optimum x* = 0
+            relative_error = float(np.linalg.norm(final_x - x_star) / scale)
         try:
             fitted = fit_decay_rate(rec_t, decision_error)
         except ValueError:

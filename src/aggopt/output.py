@@ -61,19 +61,24 @@ def write_events_csv(path: Path, result: SimResult) -> None:
                 fh.write(f"{agent},{_fmt(t)}\n")
 
 
-def _listify(value):
+def _jsonable(value):
+    """``value`` in JSON's types: arrays as lists, numpy scalars as numbers
+    and non-finite floats as None."""
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        if np.issubdtype(value.dtype, np.integer):
-            return [int(v) for v in value.ravel()]
-        return [float(v) if np.isfinite(v) else None for v in value.ravel()]
+        return _jsonable(value.ravel().tolist())
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
     return value
 
 
 def write_summary(path: Path, summary: dict) -> None:
+    """Strict JSON: non-finite numbers are written as null."""
     with open(path, "w", newline="") as fh:
-        json.dump(summary, fh, indent=2, default=_listify)
+        json.dump(_jsonable(summary), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -93,7 +93,6 @@ class TriggerRule:
         self.beta1 = np.array([getattr(s, "beta1", 0.0) for s in schemes], dtype=float)
         self.beta2 = np.array([getattr(s, "beta2", 0.0) for s in schemes], dtype=float)
         self.next_due = self.period.copy()
-        self.any_continuous = bool(self.continuous.any())
         self.any_periodic = bool(self.periodic.any())
         self.any_event = bool(self.event.any())
 
@@ -137,8 +136,7 @@ class TriggerRule:
         if self.any_periodic:
             due = self.periodic & (t >= self.next_due - DUE_SLACK)
             fires |= due
-        if self.any_continuous:
-            fires |= self.continuous
+        fires |= self.continuous
         first = int(fires.argmax())
         if not fires.ravel()[first]:
             return None

@@ -317,3 +317,62 @@ def test_repeated_runs_byte_identical(tmp_path):
     assert run_cli(args) == 0
     for name, payload in first.items():
         assert (out / name).read_bytes() == payload
+
+
+@pytest.mark.parametrize(
+    "lines, flags, steps",
+    [
+        ("step = 0.002\n", [], ("0.002", "0.002")),
+        ("step = 0.002\n", ["--step", "0.0005"], ("0.0005", "0.0005")),
+        ("", [], ("0.001", "0.002")),
+    ],
+    ids=["file", "flag", "default"],
+)
+def test_sweep_resolves_step_like_run(tmp_path, capsys, lines, flags, steps):
+    # a step from the file or --step holds for every delta; without one,
+    # each run takes the config default delta / 100
+    config = tmp_path / "scenario.cfg"
+    config.write_text("scenario = der4\ntend = 0.2\n" + lines)
+    out = tmp_path / "sweep"
+    code = run_cli([
+        "sweep", "--scenario", f"file({config})", "--deltas", "0.1,0.2", "--output", str(out),
+        *flags,
+    ])
+    assert code == 0
+    for delta, step in zip(("0.1", "0.2"), steps):
+        summary = json.loads((out / f"delta_{delta}" / "summary.json").read_text())
+        assert f"\nstep = {step}\n" in summary["config"]
+
+
+def test_seed_that_seeds_nothing_exits_one(capsys):
+    code = run_cli(["dump-config", "--scenario", "der4", "--seed", "5"])
+    assert code == 1
+    assert "--seed: 'seed' is only valid with" in capsys.readouterr().err
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_zero_optimum_writes_strict_json(tmp_path, capsys):
+    # b = price_intercept with a flat price puts the optimum at x* = 0,
+    # where the relative error is undefined
+    config = tmp_path / "zero.cfg"
+    config.write_text(
+        "scenario = custom\na = 1, 2\nb = 5, 5\nd = 1, 1\n"
+        "price_intercept = 5\nprice_slope = 0\n"
+        "topology = edges\nedges = 0-1\nx0 = 1, 2\ntend = 2\nstep = 0.005\n"
+    )
+    out = tmp_path / "zero"
+    assert run_cli(["run", "--scenario", f"file({config})", "--output", str(out)]) == 0
+    assert "relative error vs oracle: n/a;" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["oracle_solution"] == [0.0, 0.0]
+    assert summary["relative_error"] is None
+    code = run_cli([
+        "sweep", "--scenario", f"file({config})", "--deltas", "0.1", "--output", str(out),
+    ])
+    assert code == 0
+    assert "delta=0.1: relative error n/a" in capsys.readouterr().out
+    sweep = json.loads((out / "sweep_summary.json").read_text(), parse_constant=reject_constant)
+    assert sweep["runs"][0]["relative_error"] is None

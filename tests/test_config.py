@@ -75,6 +75,28 @@ def test_seed_flag_overrides_scenario_and_topology():
     assert sc.topology_seed == 9
 
 
+CUSTOM_PAIR = "scenario = custom\na = 1, 2\nb = 5, 5\nd = 1, 1\nprice_intercept = 9\nprice_slope = 1\n"
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["scenario = der4", "scenario = der4\ntopology = ring4", CUSTOM_PAIR + "topology = edges\nedges = 0-1"],
+    ids=["der4", "ring4", "custom_edges"],
+)
+def test_seed_that_seeds_nothing_rejected(lines):
+    text = f"{lines}\nseed = 5\n"
+    where = len(text.splitlines())
+    with pytest.raises(ConfigError, match=rf"line {where}: 'seed' is only valid with"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "lines", ["scenario = der4\ntopology = random(4, 1)", CUSTOM_PAIR], ids=["der4", "custom"]
+)
+def test_seed_seeds_a_random_topology(lines):
+    assert parse_config(f"{lines}\nseed = 5\n").topology_seed == 5
+
+
 def test_custom_scenario_roundtrip():
     text = (
         "scenario = custom\n"

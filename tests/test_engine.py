@@ -1,5 +1,6 @@
 import logging
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -39,14 +40,14 @@ from aggopt import (
 )
 from aggopt import engine
 from aggopt.engine import _probed_blocks, _state_entry, closed_loop_step
-from aggopt.integrate import STATE_LIMIT, ensure_finite, rk4_step
+from aggopt.integrate import ensure_finite, rk4_step
 from aggopt.problems import (
     AggregativeProblem,
     DerParameters,
     DispatchFamily,
     from_der_parameters,
 )
-from aggopt.triggers import TriggerRule
+from aggopt.triggers import DUE_SLACK, TriggerRule
 
 X0 = np.array([5.0, 6.0, 3.0, 8.0])
 EVENT_SCHEMES = tuple(
@@ -430,13 +431,15 @@ def reference_run(cfg, advance_of):
     ``advance_of(coupling)`` to the state, with the neighbor coupling
     rebuilt from the current broadcasts in every step, and the trigger rule
     sees one grid time at a time. Returns the state after every step (rows)
-    and the per-agent event times."""
+    and the per-agent event times; a state that fails ``ensure_finite``
+    raises its DivergenceError right after its step."""
     problem, h = cfg.problem, cfg.h
     lap = laplacian(cfg.graph)
     x0 = np.asarray(cfg.x0, dtype=float)
     eta0, w0 = initial_estimator_state(problem, x0)
     eta_hat, w_hat = eta0.copy(), w0.copy()
     n, shape, size = x0.size, eta_hat.shape, eta_hat.size
+    entry = partial(_state_entry, n_agents=problem.n_agents, two_m=2 * problem.m, n=n)
 
     rule = TriggerRule(cfg.schemes)
     events = [[0.0] for _ in range(problem.n_agents)]
@@ -454,6 +457,7 @@ def reference_run(cfg, advance_of):
                 for i in np.flatnonzero(mask):
                     events[i].append(t)
         y = advance_of(broadcast_coupling(lap, np.stack([eta_hat, w_hat])))(y)
+        ensure_finite(y[None], np.array([(k + 1) * h]), h, entry)
         states.append(y)
     return np.array(states), events
 
@@ -524,13 +528,81 @@ def test_divergence_inside_a_span_matches_reference_loop(monkeypatch):
     with pytest.raises(DivergenceError) as raised:
         run(cfg, x_star=None)
     assert max(checked) == 10  # the state was checked once per span, not per step
-    states, _ = reference_run(cfg, map_of(problem, cfg.delta, cfg.h))
-    step, entry = np.argwhere(~(np.abs(states) <= STATE_LIMIT))[0]
-    name = _state_entry(entry, n_agents=n, two_m=2, n=n)
-    assert f"at t={step * cfg.h:.6g} (step h=0.005): {name} = {states[step, entry]:.6g};" in str(
-        raised.value
+    with pytest.raises(DivergenceError) as expected:
+        reference_run(cfg, map_of(problem, cfg.delta, cfg.h))
+    assert str(raised.value) == str(expected.value)
+    assert "state diverged at t=0.545 (step h=0.005)" in str(raised.value)
+
+
+@st.composite
+def loop_cases(draw, per_agent, steps):
+    """A small dispatch network with per-agent schemes, a stride, a step
+    from ``steps`` and a horizon of 50-400 steps; ``per_agent`` takes the
+    agents' per-agent form, which advances one RK4 step per span."""
+    n = draw(st.integers(2, 6))
+    problem = make_dispatch_instance(n, draw(st.integers(0, 999)))
+    if per_agent:
+        problem = AggregativeProblem(agents=problem.agents, m=problem.m)
+    h = draw(st.sampled_from(steps))
+    event = st.builds(
+        Event,
+        # the 3-4-5 test's boundary, and a threshold first met near divergence
+        st.sampled_from([1e9, 5.0, 5.0 + 1e-9, 0.05, 0.5, 50.0]),
+        st.sampled_from([0.05, 0.5, 2.0]),
     )
-    assert 0.5 < step * cfg.h < 0.6
+    periods = st.integers(1, 12).flatmap(
+        lambda j: st.sampled_from([j * h, (j + 0.37) * h, (j + 0.5) * h])
+    )
+    scheme = st.one_of(event, st.builds(Periodic, periods), st.just(Continuous()))
+    return SimConfig(
+        problem=problem, graph=random_connected_graph(n, draw(st.integers(0, 999))),
+        delta=0.1, h=h, t_end=draw(st.integers(50, 400)) * h,
+        x0=np.full(n, draw(st.sampled_from([0.0, 4.0]))),
+        schemes=tuple(draw(st.lists(scheme, min_size=n, max_size=n))),
+        output_stride=draw(st.integers(1, 5)),
+    )
+
+
+class DueBoundRule(TriggerRule):
+    """The trigger rule, asserting that a span ends at the first periodic
+    due time in it."""
+
+    def fire(self, times, estimators, hats):
+        assert not np.any(times[:-1] >= self.next_due.min() - DUE_SLACK)
+        return super().fire(times, estimators, hats)
+
+
+@pytest.mark.parametrize("per_agent", [False, True], ids=["step_map", "per_agent"])
+@pytest.mark.parametrize(
+    "steps", [(0.002, 0.005, 0.01), (0.5,)], ids=["stable", "diverging"]
+)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_matches_reference_loop_on_random_cases(per_agent, steps, data):
+    # run() checks spans of steps at once; the reference checks triggers and
+    # divergence after every step. Spans bounded by due steps, records after
+    # partial spans, broadcasts at a span's last checked row, divergence
+    # inside a span after a broadcast and the unchecked last grid time all
+    # come up. h = 0.5 = 5 delta is unstable.
+    cfg = data.draw(loop_cases(per_agent, steps))
+    problem = cfg.problem
+    if problem.network.affine:
+        advance_of = map_of(problem, cfg.delta, cfg.h)
+    else:
+        advance_of = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
+    with patch.object(engine, "TriggerRule", DueBoundRule):
+        try:
+            states, events = reference_run(cfg, advance_of)
+        except DivergenceError as expected:
+            with pytest.raises(DivergenceError) as raised:
+                run(cfg, x_star=None)
+            assert str(raised.value) == str(expected)
+            return
+        result = run(cfg, x_star=None)
+    assert np.array_equal(result.times, np.arange(states.shape[0])[:: cfg.output_stride] * cfg.h)
+    assert np.array_equal(flat_states(result), states[:: cfg.output_stride])
+    assert len(result.events.times) == len(events)
+    assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
 
 
 @pytest.mark.parametrize("case", ["der4", "dispatch15"])
