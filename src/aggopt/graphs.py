@@ -3,6 +3,7 @@ constrains event-trigger parameters."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ __all__ = [
     "random_connected_graph",
 ]
 
-# real parts at or below this count as the zero eigenvalue in lambda_bound
+# eigenvalues of L at or below this count as 0 in lambda_bound
 EIGENVALUE_TOL = 1e-9
 
 
@@ -97,23 +98,27 @@ def is_connected(g: Graph) -> bool:
 
 
 def lambda_bound(lap: np.ndarray) -> float:
-    """Smallest positive real part among eigenvalues of ``[[I+L, L], [-L, 0]]``.
+    """Smallest positive real part among eigenvalues of ``[[I+L, L], [-L, 0]]``
+    for the Laplacian L of a connected graph (``ValueError`` otherwise).
 
     Event-trigger decay rates must stay below this value for the estimator
-    convergence guarantee to apply. The block matrix is non-symmetric and
-    generally has complex eigenvalues, so "positive" is read on real parts,
-    consistent with its role as an exponential decay rate.
+    convergence guarantee to apply. Each eigenvalue mu of L gives the roots
+    of s^2 - (1+mu) s + mu^2: {0, 1} for mu = 0, real parts above 1 for
+    mu > 1, and for 0 < mu <= 1 a smaller root that grows with mu to 1. So
+    the bound is that root at L's second eigenvalue, capped at 1. Near 1 the
+    double root turns a rounding error e in it into about sqrt(e).
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     if lap.shape != (n, n):
         raise ValueError("Laplacian must be square")
-    block = np.block([[np.eye(n) + lap, lap], [-lap, np.zeros((n, n))]])
-    real_parts = np.linalg.eigvals(block).real
-    positive = real_parts[real_parts > EIGENVALUE_TOL]
-    if positive.size == 0:
-        raise ValueError("no eigenvalue with positive real part; malformed Laplacian")
-    return float(positive.min())
+    mu = np.linalg.eigvalsh(lap)
+    if mu[0] < -EIGENVALUE_TOL:
+        raise ValueError(f"eigenvalue {mu[0]:g} < 0; not a graph Laplacian")
+    if n > 1 and mu[1] <= EIGENVALUE_TOL:
+        raise ValueError("the graph of the Laplacian must be connected")
+    mu2 = min(1.0, float(mu[1])) if n > 1 else 1.0
+    return 2.0 * mu2**2 / (1.0 + mu2 + math.sqrt((1.0 - mu2) * (1.0 + 3.0 * mu2)))
 
 
 def random_connected_graph(n: int, seed: int) -> Graph:

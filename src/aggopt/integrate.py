@@ -29,12 +29,14 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarr
 
 
 def ensure_finite(
-    rows: np.ndarray, times: np.ndarray, h: float, name: Callable[[int], str]
+    rows: np.ndarray, times: np.ndarray, h: float, name: Callable[[int], str],
+    advice: str = "reduce the step size",
 ) -> None:
     """Raise :class:`DivergenceError` unless every entry of the (K, n)
     ``rows`` is finite and within ``STATE_LIMIT``. Row r is the state at
     ``times[r]``; the message names the first offending row's time and its
-    first offending entry, labelled by ``name`` (flat index k -> label).
+    first offending entry, labelled by ``name`` (flat index k -> label),
+    and ends with ``advice``.
 
     One reduction per call: NaN fails the comparison too. The offending
     entry is located only after the check has failed.
@@ -43,5 +45,5 @@ def ensure_finite(
         row, k = divmod(int(np.flatnonzero(~(np.abs(rows) <= STATE_LIMIT))[0]), rows.shape[1])
         raise DivergenceError(
             f"state diverged at t={times[row]:.6g} (step h={h:.6g}): "
-            f"{name(k)} = {rows[row, k]:.6g}; reduce the step size"
+            f"{name(k)} = {rows[row, k]:.6g}; {advice}"
         )

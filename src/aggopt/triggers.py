@@ -149,10 +149,13 @@ class TriggerRule:
 def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float) -> float:
     """Unique root T of (m1 + m2) T = beta1 exp(-beta2 T).
 
-    T lower-bounds the gap between consecutive events when m1 + m2 bounds
-    the growth rate of the measurement error, which is why a positive root
-    rules out accumulation of events in finite time. Solved by bisection on
-    [0, beta1 / (m1 + m2)] to absolute tolerance ``ZENO_BISECTION_TOL``.
+    T lower-bounds an agent's gaps between consecutive events when its error
+    grows at a rate of at most (m1 + m2) exp(-beta2 t). The bound from
+    :func:`zeno_bound_constants` decays like exp(-beta2_min t), so that holds
+    only for agents with beta2 = beta2_min; a faster threshold falls below
+    it, and such an agent's gaps may shrink to the grid step. Solved by
+    bisection on [0, beta1 / (m1 + m2)] to absolute tolerance
+    ``ZENO_BISECTION_TOL``.
     """
     total = m1 + m2
     if total <= 0:
@@ -199,7 +202,6 @@ def validate_scheme(schemes: Sequence[TriggerScheme], lam: float) -> tuple[str, 
 
 def zeno_bound_constants(
     lap: np.ndarray,
-    m: int,
     initial_deviation: float,
     beta1_max: float,
     beta2_min: float,
@@ -207,24 +209,21 @@ def zeno_bound_constants(
 ) -> tuple[float, float]:
     """Conservative (m1, m2) for :func:`zeno_lower_bound`.
 
-    Bounds the estimator-error growth rate by m1 exp(-lam t) + m2 exp(-beta2 t)
-    using the spectral norms of the unreduced coupling matrices of the fast
-    subsystem (upper bounds for the reduced-system norms), the initial
-    deviation of (eta, w) from its steady state, and the extreme trigger
-    parameters across agents. Requires beta2_min < lam. The sum m1 + m2 is
-    always positive, so the resulting inter-event bound exists.
+    Bounds the estimator-error growth rate by m1 exp(-lam t) + m2 exp(-beta2_min t)
+    from the initial deviation of (eta, w) from its steady state, the extreme
+    trigger parameters across agents and the spectral norms of the fast
+    subsystem's coupling matrices. Per eigenvalue mu of L these split into
+    the 2x2 blocks [[-1-mu, -mu], [mu, 0]] and [[-mu, -mu], [mu, 0]], whose
+    norms grow with mu, so both are taken at L's largest eigenvalue. Requires
+    beta2_min < lam; m1 + m2 is then positive, so the inter-event bound exists,
+    but it holds for all time only for agents with beta2 = beta2_min.
     """
     if beta2_min >= lam:
         raise ValueError("requires beta2_min < lam")
-    n = lap.shape[0]
-    eye_block = np.eye(2 * m)
-    lap2 = np.kron(lap, eye_block)
-    zero = np.zeros_like(lap2)
-    drift = np.block([[-np.eye(2 * m * n) - lap2, -lap2], [lap2, zero]])
-    inject = np.block([[-lap2, -lap2], [lap2, zero]])
-    drift_norm = float(np.linalg.norm(drift, 2))
-    inject_norm = float(np.linalg.norm(inject, 2))
-    scale = math.sqrt(n) * beta1_max * inject_norm
+    mu = float(np.linalg.eigvalsh(lap)[-1])
+    drift_norm = float(np.linalg.norm([[-1.0 - mu, -mu], [mu, 0.0]], 2))
+    inject_norm = float(np.linalg.norm([[-mu, -mu], [mu, 0.0]], 2))
+    scale = math.sqrt(lap.shape[0]) * beta1_max * inject_norm
     m1 = drift_norm * initial_deviation - drift_norm * scale / (lam - beta2_min)
     m2 = scale * (1.0 + drift_norm / (lam - beta2_min))
     return m1, m2

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import aggopt
-from aggopt import cli, solve_kkt_quadratic
+from aggopt import cli, lambda_bound, laplacian, random_connected_graph, solve_kkt_quadratic
 from aggopt.cli import main
-from aggopt.config import dump_config, parse_config
+from aggopt.config import dump_config, parse_config, to_sim_config
 
 
 def run_cli(args):
@@ -34,6 +34,20 @@ def test_run_writes_output_files(tmp_path, capsys):
     header = (out / "trajectory.csv").read_text().splitlines()[0].split(",")
     assert header[:5] == ["t", "x_1", "x_2", "x_3", "x_4"]
     assert header[-2:] == ["consensus_error", "decision_error"]
+
+
+def test_run_dispatch_scenario_on_its_random_graph(tmp_path, capsys):
+    out = tmp_path / "dispatch"
+    code = run_cli([
+        "run", "--scenario", "dispatch(5, 1)", "--tend", "0.5", "--output", str(out),
+    ])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert "topology = random(5, 1)" in summary["config"]
+    graph = to_sim_config(parse_config(summary["config"])).graph
+    assert graph == random_connected_graph(5, 1)
+    assert summary["lambda"] == lambda_bound(laplacian(graph))
+    assert len(summary["final_decisions"]) == 5
 
 
 def test_run_compare_periodic(tmp_path, capsys):
@@ -137,8 +151,10 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(["run"]) == 1  # scenario required
     assert run_cli(["run", "--scenario", "nonsense42"]) == 1
     assert run_cli(["sweep", "--scenario", "der4", "--deltas", "a,b"]) == 1
-    err = capsys.readouterr().err
-    assert "error" in err
+    assert run_cli(["run", "--scenario", "der4", "--bogus"]) == 1  # not argparse's 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run_cli(["run", "--scenario", "der4", "--trigger", "sometimes"]) == 1
+    assert "--trigger: trigger must be event" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -261,14 +277,17 @@ def test_module_entry_point_runs_main():
     assert "scenario = der4" in proc.stdout.splitlines()
 
 
-def test_disconnected_topology_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_disconnected_topology_exits_one(tmp_path, capsys, command):
     config = tmp_path / "scenario.cfg"
     config.write_text("scenario = der4\ntopology = edges\nedges = 0-1, 2-3\n")
     code = run_cli([
-        "run", "--scenario", f"file({config})", "--output", str(tmp_path / "out"),
+        command, "--scenario", f"file({config})", "--output", str(tmp_path / "out"),
     ])
     assert code == 1
-    assert "connected" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "connected" in captured.err
+    assert captured.out == ""
 
 
 def test_divergence_exits_two(tmp_path):

@@ -45,6 +45,10 @@ def test_unknown_keys_listed():
 def test_malformed_number_reports_line():
     with pytest.raises(ConfigError, match="line 2.*delta"):
         parse_config("scenario = der4\ndelta = fast\n")
+    with pytest.raises(ConfigError, match="line 2: malformed integer for 'stride': '2.5'"):
+        parse_config("scenario = der4\nstride = 2.5\n")
+    with pytest.raises(ConfigError, match="line 2: expected 'key = value', got 'delta 0.1'"):
+        parse_config("scenario = der4\ndelta 0.1\n")
 
 
 def test_duplicate_key_rejected():
@@ -115,6 +119,11 @@ def test_custom_scenario_roundtrip():
 def test_custom_scenario_missing_coefficients():
     with pytest.raises(ConfigError, match="price_slope"):
         parse_config("scenario = custom\na = 1\nb = 1\nd = 1\nprice_intercept = 200\n")
+    with pytest.raises(ConfigError, match="a, b, d must have equal length"):
+        parse_config(
+            "scenario = custom\na = 1, 2\nb = 1\nd = 1, 2\n"
+            "price_intercept = 200\nprice_slope = 0.2\n"
+        )
 
 
 def test_coefficients_only_for_custom():
@@ -158,6 +167,8 @@ def test_malformed_scenario_and_topology():
         parse_config("scenario = der4\ntopology = edges\n")
     with pytest.raises(ConfigError, match="malformed edge"):
         parse_config("scenario = der4\ntopology = edges\nedges = 0+1\n")
+    with pytest.raises(ConfigError, match="'edges' key is only valid with topology = edges"):
+        parse_config("scenario = der4\nedges = 0-1, 1-2, 2-3\n")
 
 
 def test_roundtrip_through_dump():

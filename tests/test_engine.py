@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 from functools import partial
 from unittest.mock import patch
 
@@ -371,9 +372,21 @@ def test_generic_path_matches_vectorized_run(der4, ring4, der4_x_star):
 def test_run_divergence_raises(der4, ring4):
     cfg = event_config(der4, ring4, h=5.0, t_end=100.0, delta=0.1)
     with pytest.raises(
-        DivergenceError, match=r"at t=10 \(step h=5\): eta\[agent 1, component 0\] = 1\.4"
+        DivergenceError,
+        match=r"at t=10 \(step h=5\): eta\[agent 1, component 0\] = 1\.4.*; reduce the step size$",
     ):
         run(cfg, x_star=None)
+    with pytest.raises(DivergenceError, match=r"; reduce the step size$"):
+        run(replace(cfg, schemes=(Continuous(),) * 4), x_star=None)
+
+
+def test_periodic_divergence_names_the_period(der4, ring4):
+    # the hold of periodic(0.3) destabilizes the estimator whatever the step
+    cfg = event_config(der4, ring4, h=0.001, t_end=6.0, schemes=(Periodic(0.3),) * 4)
+    with pytest.raises(DivergenceError) as raised:
+        run(cfg, x_star=None)
+    assert str(raised.value).startswith("state diverged at t=4.369 (step h=0.001): ")
+    assert str(raised.value).endswith("; reduce the largest broadcast period T=0.3 or the step size")
 
 
 def test_state_entry_names():
@@ -440,6 +453,10 @@ def reference_run(cfg, advance_of):
     eta_hat, w_hat = eta0.copy(), w0.copy()
     n, shape, size = x0.size, eta_hat.shape, eta_hat.size
     entry = partial(_state_entry, n_agents=problem.n_agents, two_m=2 * problem.m, n=n)
+    periods = [s.period for s in cfg.schemes if isinstance(s, Periodic)]
+    advice = "reduce the step size"
+    if periods:
+        advice = f"reduce the largest broadcast period T={max(periods):.6g} or the step size"
 
     rule = TriggerRule(cfg.schemes)
     events = [[0.0] for _ in range(problem.n_agents)]
@@ -457,7 +474,7 @@ def reference_run(cfg, advance_of):
                 for i in np.flatnonzero(mask):
                     events[i].append(t)
         y = advance_of(broadcast_coupling(lap, np.stack([eta_hat, w_hat])))(y)
-        ensure_finite(y[None], np.array([(k + 1) * h]), h, entry)
+        ensure_finite(y[None], np.array([(k + 1) * h]), h, entry, advice)
         states.append(y)
     return np.array(states), events
 
@@ -520,9 +537,9 @@ def test_divergence_inside_a_span_matches_reference_loop(monkeypatch):
     )
     checked = []
 
-    def spy(rows, times, h, name):
+    def spy(rows, *args):
         checked.append(len(rows))
-        ensure_finite(rows, times, h, name)
+        ensure_finite(rows, *args)
 
     monkeypatch.setattr(engine, "ensure_finite", spy)
     with pytest.raises(DivergenceError) as raised:

@@ -46,6 +46,10 @@ def test_graph_validation():
         Graph(3, frozenset({(1, 0)}))  # not normalized
     with pytest.raises(ValueError):
         ring(2)
+    with pytest.raises(ValueError, match="at least one node"):
+        Graph(0, frozenset())
+    with pytest.raises(ValueError, match="n must be positive"):
+        random_connected_graph(0, 1)
     # duplicate unordered pairs collapse to one edge
     g = Graph.from_edges(2, [(0, 1), (1, 0)])
     assert len(g.edges) == 1
@@ -72,9 +76,42 @@ def test_lambda_bound_two_node_path():
 
 
 def test_lambda_bound_ring4():
-    value = lambda_bound(laplacian(ring(4)))
-    assert value > 0
-    assert value == pytest.approx(1.0, abs=1e-9)
+    # the second eigenvalue is 2, so the bound is exactly 1
+    assert lambda_bound(laplacian(ring(4))) == 1.0
+
+
+def test_lambda_bound_dispatch_graph_exactly_one():
+    # second eigenvalue 1.017; the dense eigensolve gave 0.9999999999999997
+    assert lambda_bound(laplacian(random_connected_graph(15, 1))) == 1.0
+
+
+def star(n):
+    return Graph.from_edges(n, [(0, k) for k in range(1, n)])
+
+
+def dense_lambda_bound(lap):
+    """The definition: smallest positive real part of the block's spectrum."""
+    n = lap.shape[0]
+    block = np.block([[np.eye(n) + lap, lap], [-lap, np.zeros((n, n))]])
+    real_parts = np.linalg.eigvals(block).real
+    return real_parts[real_parts > 1e-9].min()
+
+
+def test_lambda_bound_matches_dense_block():
+    # second eigenvalues below 1, at 1 (stars, path(3)) and above it; at 1
+    # the double root turns a rounding error e into about sqrt(e)
+    graphs = (
+        [path(n) for n in range(2, 31)]
+        + [star(n) for n in range(2, 21)]
+        + [random_connected_graph(n, seed) for n in range(2, 41) for seed in range(2)]
+    )
+    second = []
+    for g in graphs:
+        lap = laplacian(g)
+        assert abs(lambda_bound(lap) - dense_lambda_bound(lap)) <= 1e-7
+        second.append(np.linalg.eigvalsh(lap)[1])
+    assert min(second) < 0.5 and max(second) > 1.5
+    assert np.sum(np.abs(np.array(second) - 1.0) < 1e-9) >= 18
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -107,6 +144,8 @@ def test_laplacian_invariants_random_graphs(seed):
 def test_lambda_bound_rejects_matrix_without_positive_spectrum():
     with pytest.raises(ValueError):
         lambda_bound(np.array([[-5.0, 0.0], [0.0, -5.0]]))
+    with pytest.raises(ValueError, match="connected"):
+        lambda_bound(laplacian(Graph.from_edges(4, [(0, 1), (2, 3)])))
 
 
 def test_random_connected_graph_deterministic():

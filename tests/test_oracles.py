@@ -122,6 +122,15 @@ def test_centralized_flow_divergence(der4):
         centralized_flow(der4, np.array([5.0, 6.0, 3.0, 8.0]), h=5.0, t_end=500.0)
 
 
+def test_centralized_flow_rejects_bad_arguments(der4):
+    x0 = np.array([5.0, 6.0, 3.0, 8.0])
+    for h in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="h and t_end must be positive"):
+            centralized_flow(der4, x0, h=h, t_end=1.0)
+    with pytest.raises(ValueError, match=r"x0 has shape \(3,\), expected \(4,\)"):
+        centralized_flow(der4, x0[:3], h=1e-3, t_end=1.0)
+
+
 def test_fit_decay_rate_exact_exponential():
     t = np.linspace(0.0, 3.0, 100)
     assert fit_decay_rate(t, np.exp(-2.0 * t)) == pytest.approx(2.0, abs=1e-6)
@@ -141,6 +150,8 @@ def test_fit_decay_rate_trims_and_errors():
         fit_decay_rate(t[:8], np.exp(-t[:8]))
     with pytest.raises(ValueError):
         fit_decay_rate(t, np.full(30, 1e-12))
+    with pytest.raises(ValueError, match="matching shapes"):
+        fit_decay_rate(t, e[:-1])
 
 
 def _fitted_rate_and_bound(problem, x0):

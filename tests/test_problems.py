@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_jacobian, rel_err
@@ -14,7 +16,7 @@ from aggopt import (
     sigma,
     with_frozen_decisions,
 )
-from aggopt.problems import DispatchFamily, PerAgent
+from aggopt.problems import DispatchFamily, PerAgent, theta
 
 
 def single_unit(a=1.0, b=0.0, d=0.0):
@@ -206,3 +208,17 @@ def test_problem_validation():
         DerParameters(a=(1.0,), b=(1.0, 2.0), d=(0.0,), price_intercept=200.0, price_slope=0.1)
     with pytest.raises(ValueError):
         make_dispatch_instance(0, 1)
+    with pytest.raises(ValueError, match="at least one unit"):
+        DerParameters(a=(), b=(), d=(), price_intercept=200.0, price_slope=0.1)
+    agents = single_unit().agents
+    with pytest.raises(ValueError, match="at least one agent"):
+        AggregativeProblem(agents=(), m=1)
+    with pytest.raises(ValueError, match="aggregation dimension"):
+        AggregativeProblem(agents=agents, m=0)
+    mismatched = dataclasses.replace(agents[0], grad_sigma=lambda x, s: np.zeros(2))
+    with pytest.raises(ValueError, match="m-vectors"):
+        theta(mismatched, np.ones(1), np.ones(1))
+
+
+def test_rate_metadata_none_without_positive_definite_hessian():
+    assert single_unit(a=-1.0).rate_metadata is None

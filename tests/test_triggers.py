@@ -9,7 +9,10 @@ from aggopt import (
     Event,
     EventLog,
     Periodic,
+    lambda_bound,
     laplacian,
+    path,
+    random_connected_graph,
     ring,
     validate_scheme,
     zeno_bound_constants,
@@ -185,6 +188,11 @@ def test_validate_scheme_zero_beta_is_hard_error():
         validate_scheme((Periodic(0.0),), lam=1.0)
 
 
+def test_validate_scheme_rejects_unknown_scheme_type():
+    with pytest.raises(TypeError, match="unknown trigger scheme"):
+        validate_scheme((Continuous(), "event"), lam=1.0)
+
+
 @pytest.mark.parametrize(
     "scheme, names",
     [
@@ -214,7 +222,7 @@ def test_validate_scheme_mixed_non_event_passes():
 def test_zeno_bound_constants_always_give_positive_root():
     lap = laplacian(ring(4))
     m1, m2 = zeno_bound_constants(
-        lap, m=1, initial_deviation=3.0, beta1_max=10.0, beta2_min=0.01, lam=1.0
+        lap, initial_deviation=3.0, beta1_max=10.0, beta2_min=0.01, lam=1.0
     )
     assert m1 + m2 > 0
     for beta1, beta2 in ((10.0, 0.01), (8.0, 0.1), (8.0, 0.15), (10.0, 0.05)):
@@ -224,7 +232,33 @@ def test_zeno_bound_constants_always_give_positive_root():
 def test_zeno_bound_constants_require_margin():
     lap = laplacian(ring(4))
     with pytest.raises(ValueError):
-        zeno_bound_constants(lap, 1, 1.0, 10.0, beta2_min=1.5, lam=1.0)
+        zeno_bound_constants(lap, 1.0, 10.0, beta2_min=1.5, lam=1.0)
+
+
+def dense_coupling_norms(lap, m):
+    """Spectral norms of the fast subsystem's drift and injection matrices,
+    built whole over the stacked (eta, w) of N agents with 2m components."""
+    lap2 = np.kron(lap, np.eye(2 * m))
+    zero = np.zeros_like(lap2)
+    drift = np.block([[-np.eye(lap2.shape[0]) - lap2, -lap2], [lap2, zero]])
+    inject = np.block([[-lap2, -lap2], [lap2, zero]])
+    return np.linalg.norm(drift, 2), np.linalg.norm(inject, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize(
+    "graph", [ring(4), path(5), random_connected_graph(15, 1)], ids=["ring4", "path5", "random15"]
+)
+def test_zeno_bound_constants_match_dense_norms(graph, m):
+    # the constants of the original formulation, from the dense norms
+    lap = laplacian(graph)
+    deviation, beta1_max, beta2_min, lam = 173.6, 10.0, 0.01, lambda_bound(lap)
+    drift, inject = dense_coupling_norms(lap, m)
+    scale = math.sqrt(graph.n_nodes) * beta1_max * inject
+    m1 = drift * deviation - drift * scale / (lam - beta2_min)
+    m2 = scale * (1.0 + drift / (lam - beta2_min))
+    got = zeno_bound_constants(lap, deviation, beta1_max, beta2_min, lam)
+    assert got == pytest.approx((m1, m2), rel=1e-9)
 
 
 def test_event_log_counts_and_intervals():
