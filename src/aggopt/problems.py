@@ -56,9 +56,12 @@ DER4_PUBLISHED_SOLUTION = (188.0, 377.5, 236.2, 266.9)
 class LocalObjective:
     """One agent's objective, aggregation map, and analytic derivatives.
 
-    All callables take/return numpy vectors: ``cost(x_i, s)`` is scalar,
-    ``grad_x`` has dim_x entries, ``grad_sigma`` has m entries, ``phi``
-    maps dim_x -> m, and ``jac_phi`` returns the (m, dim_x) Jacobian.
+    All callables take/return numpy arrays: ``cost(x_i, s)`` is scalar,
+    ``grad_x`` returns shape (dim_x,), ``grad_sigma`` and ``phi`` shape
+    (m,), and ``jac_phi`` the (m, dim_x) Jacobian. The simulator checks
+    these shapes and raises ``ValueError`` naming the agent and the
+    callable on a mismatch. It never writes to a returned array, so a
+    callable may return the same array every time, read-only or not.
     """
 
     dim_x: int
@@ -94,15 +97,42 @@ class DerParameters:
         return len(self.a)
 
 
-def theta(obj: LocalObjective, x_i: np.ndarray, eta_i1: np.ndarray) -> np.ndarray:
-    """Local estimator input: phi_i(x_i) stacked over grad_sigma f_i(x_i, eta_i1)."""
-    x_i = np.asarray(x_i, dtype=float)
-    eta_i1 = np.asarray(eta_i1, dtype=float)
+def _shape_error(agent: int | None, *returned: tuple[str, np.ndarray, tuple[int, ...]]) -> None:
+    """Raise ``ValueError`` for the first ``(name, value, shape)`` whose
+    value, returned by a local objective's callable ``name``, is not of
+    ``shape``, naming the agent, the callable and both shapes."""
+    for name, value, shape in returned:
+        if value.shape != shape:
+            who = "" if agent is None else f"agent {agent}: "
+            raise ValueError(
+                f"{who}{name} returned shape {value.shape}, expected {shape}; phi and "
+                "grad_sigma must both return m-vectors, grad_x dim_x entries and jac_phi "
+                "the (m, dim_x) Jacobian"
+            )
+
+
+def _write_theta(
+    row: np.ndarray, obj: LocalObjective, x_i: np.ndarray, eta_i1: np.ndarray, agent: int | None
+) -> None:
+    """Write Theta_i, phi_i(x_i) over grad_sigma f_i(x_i, eta_i1), into the
+    2m-vector ``row``; m is the size of the estimate ``eta_i1``."""
+    m = eta_i1.size
     top = obj.phi(x_i)
     bottom = obj.grad_sigma(x_i, eta_i1)
-    if top.shape != bottom.shape:
-        raise ValueError("phi and grad_sigma must both return m-vectors")
-    return np.concatenate([top, bottom])
+    if top.shape != (m,) or bottom.shape != (m,):
+        _shape_error(agent, ("phi", top, (m,)), ("grad_sigma", bottom, (m,)))
+    row[:m] = top
+    row[m:] = bottom
+
+
+def theta(obj: LocalObjective, x_i: np.ndarray, eta_i1: np.ndarray) -> np.ndarray:
+    """Local estimator input: phi_i(x_i) stacked over grad_sigma f_i(x_i, eta_i1),
+    both m-vectors for the m-vector ``eta_i1``."""
+    x_i = np.asarray(x_i, dtype=float)
+    eta_i1 = np.asarray(eta_i1, dtype=float)
+    row = np.empty(2 * eta_i1.size)
+    _write_theta(row, obj, x_i, eta_i1, None)
+    return row
 
 
 class DispatchFamily:
@@ -151,7 +181,10 @@ class DispatchFamily:
 
 class PerAgent:
     """Any problem, one :class:`LocalObjective` call per agent; agent i owns
-    the dim_x entries of the stacked decisions after those of agents < i."""
+    the dim_x entries of the stacked decisions after those of agents < i.
+
+    ``theta`` and ``drive`` write each agent's row or slice into one array
+    per call, after checking the shapes the agent's callables return."""
 
     affine = False
 
@@ -160,6 +193,11 @@ class PerAgent:
         self.m = m
         offs = np.cumsum([0] + [obj.dim_x for obj in agents])
         self.slices = [slice(int(lo), int(hi)) for lo, hi in zip(offs[:-1], offs[1:])]
+        # (agent, objective, its slice, grad_x's shape, jac_phi's shape)
+        self.layout = [
+            (i, obj, sl, (obj.dim_x,), (m, obj.dim_x))
+            for i, (obj, sl) in enumerate(zip(agents, self.slices))
+        ]
 
     def blocks(self, x: Vector) -> list[Vector]:
         return [x[sl] for sl in self.slices]
@@ -188,17 +226,22 @@ class PerAgent:
     def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
             return np.stack([self.theta(x_k, eta1_k) for x_k, eta1_k in zip(x, eta1)])
-        rows = [
-            theta(obj, x_i, eta1[i])
-            for i, (obj, x_i) in enumerate(zip(self.agents, self.blocks(x)))
-        ]
-        return np.vstack(rows)
+        out = np.empty((len(self.agents), 2 * self.m))
+        for i, obj, sl, _, _ in self.layout:
+            _write_theta(out[i], obj, x[sl], eta1[i], i)
+        return out
 
     def drive(self, x: Vector, eta1: np.ndarray, eta2: np.ndarray) -> Vector:
-        parts = []
-        for i, (obj, x_i) in enumerate(zip(self.agents, self.blocks(x))):
-            parts.append(obj.grad_x(x_i, eta1[i]) + obj.jac_phi(x_i).T @ eta2[i])
-        return np.concatenate(parts)
+        out = np.empty(x.size)
+        for i, obj, sl, grad_shape, jac_shape in self.layout:
+            x_i = x[sl]
+            grad = obj.grad_x(x_i, eta1[i])
+            jac = obj.jac_phi(x_i)
+            if grad.shape != grad_shape or jac.shape != jac_shape:
+                _shape_error(i, ("grad_x", grad, grad_shape), ("jac_phi", jac, jac_shape))
+            # eta_i2 . J_i is J_i^T eta_i2 bit for bit, without the transpose
+            np.add(grad, eta2[i].dot(jac), out=out[sl])
+        return out
 
 
 @dataclass(frozen=True)
@@ -286,7 +329,14 @@ def quadratic_hessian(params: DerParameters) -> np.ndarray:
     return 2.0 * np.diag(a) + (2.0 * params.price_slope / n) * np.ones((n, n))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _der_agent(a: float, b: float, d: float, c0: float, c1: float) -> LocalObjective:
+    jac = _read_only(np.ones((1, 1)))
+
     def cost(x: Vector, s: Vector) -> float:
         return float(a * x[0] ** 2 + b * x[0] + d - (c0 - c1 * s[0]) * x[0])
 
@@ -300,7 +350,7 @@ def _der_agent(a: float, b: float, d: float, c0: float, c1: float) -> LocalObjec
         return np.array([x[0]])
 
     def jac_phi(x: Vector) -> Vector:
-        return np.ones((1, 1))
+        return jac
 
     return LocalObjective(1, cost, grad_x, grad_sigma, phi, jac_phi)
 
@@ -352,12 +402,13 @@ def with_frozen_decisions(problem: AggregativeProblem) -> AggregativeProblem:
     Keeps phi and grad_sigma (hence the estimator input signals) but zeroes
     grad_x and jac_phi, so only the estimator evolves. Used for
     estimator-only experiments; the returned objectives deliberately break
-    the gradient/cost consistency of real instances.
+    the gradient/cost consistency of real instances. Each agent's zero
+    gradient and zero Jacobian are one read-only array, returned every call.
     """
 
     def freeze(obj: LocalObjective) -> LocalObjective:
-        zero_gx = lambda x, s, _n=obj.dim_x: np.zeros(_n)
-        zero_jac = lambda x, _n=obj.dim_x, _m=problem.m: np.zeros((_m, _n))
-        return replace(obj, grad_x=zero_gx, jac_phi=zero_jac)
+        zero_gx = _read_only(np.zeros(obj.dim_x))
+        zero_jac = _read_only(np.zeros((problem.m, obj.dim_x)))
+        return replace(obj, grad_x=lambda x, s: zero_gx, jac_phi=lambda x: zero_jac)
 
     return AggregativeProblem(agents=tuple(freeze(obj) for obj in problem.agents), m=problem.m)

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from conftest import fd_gradient, fd_jacobian, rel_err
 from aggopt import (
     AggregativeProblem,
     DerParameters,
+    LocalObjective,
     from_der_parameters,
     global_cost,
     global_gradient,
@@ -16,6 +19,7 @@ from aggopt import (
     sigma,
     with_frozen_decisions,
 )
+from aggopt.engine import closed_loop_rhs
 from aggopt.problems import DispatchFamily, PerAgent, theta
 
 
@@ -179,6 +183,86 @@ def test_dispatch_family_matches_per_agent(n):
         assert close(fast.gradient(x), reference.gradient(x))
         assert close(fast.theta(x, eta1), reference.theta(x, eta1))
         assert close(fast.drive(x, eta1, eta2), reference.drive(x, eta1, eta2))
+
+
+def stacking_reference(net, x, eta1, eta2):
+    """drive and theta of a PerAgent network, built per agent and stacked."""
+    xs = net.blocks(x)
+    drive = np.concatenate([
+        obj.grad_x(x_i, eta1[i]) + obj.jac_phi(x_i).T @ eta2[i]
+        for i, (obj, x_i) in enumerate(zip(net.agents, xs))
+    ])
+    thetas = np.vstack([
+        np.concatenate([obj.phi(x_i), obj.grad_sigma(x_i, eta1[i])])
+        for i, (obj, x_i) in enumerate(zip(net.agents, xs))
+    ])
+    return drive, thetas
+
+
+@pytest.mark.parametrize("name", ["der4", "vector3", "frozen_der4"])
+def test_per_agent_rows_match_stacking_reference(name, request):
+    base = request.getfixturevalue("vector3" if name == "vector3" else "der4")
+    problem = with_frozen_decisions(base) if name == "frozen_der4" else strip_fast_path(base)
+    net = problem.network
+    assert isinstance(net, PerAgent)
+    rng = np.random.default_rng(17)
+    n_agents, m = problem.n_agents, problem.m
+    for _ in range(20):
+        x = rng.uniform(-30, 30, problem.dim)
+        eta1, eta2 = rng.uniform(-30, 30, (2, n_agents, m))
+        drive, thetas = stacking_reference(net, x, eta1, eta2)
+        assert np.array_equal(net.drive(x, eta1, eta2), drive)
+        assert np.array_equal(net.theta(x, eta1), thetas)
+    xs = rng.uniform(-30, 30, (3, problem.dim))
+    eta1s = rng.uniform(-30, 30, (3, n_agents, m))
+    stacked = np.stack([stacking_reference(net, x, e, e)[1] for x, e in zip(xs, eta1s)])
+    assert np.array_equal(net.theta(xs, eta1s), stacked)
+
+
+@pytest.mark.parametrize(
+    "name, bad, got, want",
+    [
+        ("grad_x", lambda x, s: np.zeros(1), (1,), (2,)),
+        ("jac_phi", lambda x: np.zeros((2, 1)), (2, 1), (2, 2)),
+        ("phi", lambda x: np.zeros(1), (1,), (2,)),
+        ("grad_sigma", lambda x, s: np.zeros(1), (1,), (2,)),
+    ],
+)
+def test_per_agent_shape_errors_name_agent_and_callable(vector3, name, bad, got, want):
+    # agent 1 has dim_x = 2 and m = 2; each bad shape above broadcasts or
+    # fails without naming the agent if it reaches the stacked arrays
+    agents = list(vector3.agents)
+    agents[1] = dataclasses.replace(agents[1], **{name: bad})
+    problem = AggregativeProblem(agents=tuple(agents), m=vector3.m)
+    shape = (2, problem.n_agents, 2 * problem.m)
+    y = np.ones(problem.dim + math.prod(shape))
+    message = rf"agent 1: {name} returned shape {re.escape(str(got))}, expected {re.escape(str(want))}"
+    with pytest.raises(ValueError, match=message):
+        closed_loop_rhs(problem, 0.1, np.zeros(shape), 0.0, y)
+
+
+def test_undersized_gradient_with_row_jacobian_is_rejected():
+    # dim_x = 2, m = 1: a 1-vector grad_x would broadcast against J^T eta_i2
+    obj = LocalObjective(
+        dim_x=2,
+        cost=lambda x, s: float(x @ x),
+        grad_x=lambda x, s: np.array([x.sum()]),
+        grad_sigma=lambda x, s: np.zeros(1),
+        phi=lambda x: np.array([x.sum()]),
+        jac_phi=lambda x: np.ones((1, 2)),
+    )
+    network = AggregativeProblem(agents=(obj,), m=1).network
+    with pytest.raises(ValueError, match=r"agent 0: grad_x returned shape \(1,\), expected \(2,\)"):
+        network.drive(np.ones(2), np.ones((1, 1)), np.ones((1, 1)))
+
+
+def test_returned_constant_arrays_are_read_only(der4):
+    arrays = [der4.agents[0].jac_phi(np.zeros(1))]
+    frozen = with_frozen_decisions(der4).agents[0]
+    arrays += [frozen.grad_x(np.zeros(1), np.zeros(1)), frozen.jac_phi(np.zeros(1))]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 def test_local_objective_derivatives_match_finite_differences(der4):
