@@ -11,10 +11,11 @@ loop advances everything, a span of grid steps at a time:
   1. advance (x, eta, w) by K steps of 4th order of :func:`closed_loop_rhs`
      with the broadcasts held (:func:`closed_loop_step`). The neighbor
      coupling reads broadcasts only, so it is computed once when some agent
-     broadcasts and held in between. For the dispatch family each step is
-     a per-agent affine map ``y+ = P y + Q b`` formed once per run, with
-     only ``Q b`` recomputed on broadcast steps; it agrees with RK4 to
-     rounding;
+     broadcasts and held in between. For affine networks (the dispatch
+     family, and agents that all declare ``LocalObjective.quadratic``) each
+     step is a per-agent affine map ``y+ = P y + Q b`` formed once per run,
+     with only ``Q b`` recomputed on broadcast steps; it agrees with RK4 to
+     rounding. Other networks take one RK4 step of the field per state;
   2. check the K new states at once: every agent's trigger at their grid
      times (the rule lives in :class:`aggopt.triggers.TriggerRule`), then
      that the states kept are finite
@@ -30,8 +31,9 @@ first diverged one are finite, so the first broadcast among them is found
 exactly; if none comes first, the divergence check stops the run at that
 state. A span never runs past a periodic agent's due step; it starts at
 the last gap between broadcasts and doubles while no agent fires, up to
-``SPAN_CAP``. It is one step for networks without a step map, whose
-discarded RK4 steps would cost more than the checks they save.
+``SPAN_CAP``. It is one step for networks without a step map (local
+objectives not declared quadratic), whose discarded RK4 steps would cost
+more than the checks they save.
 
 The estimator state, its broadcasts, their neighbor coupling and its
 derivative are (2, N, 2m) blocks (see :mod:`aggopt.consensus`). The
@@ -82,7 +84,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Most grid steps a span advances with the broadcasts held before the
-# trigger rule and the divergence check look at its states.
+# trigger rule and the divergence check look at its states, on the step map;
+# networks without one (local objectives not declared quadratic) advance
+# one step per span.
 SPAN_CAP = 32
 
 
@@ -205,23 +209,34 @@ def closed_loop_rhs(
 
 def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Agent i's block ``a[i]`` of ``A`` in the affine closed loop ``A y + b``
-    (coupling held), over the flat indices ``flat[i]`` of its coordinates.
-    One probe per local coordinate, set for all agents at once; the probe is
-    a power of two far above the offsets, so they drop out and the division
-    by it is exact: the coefficients keep every bit."""
+    (coupling held), over the flat indices ``flat[i]`` of its coordinates:
+    its decisions, then its eta and w rows. An agent with fewer decisions
+    than the largest ``dim_x`` is padded after them with the index one past
+    the flat state. Its row of ``a[i]`` is zero, and so is its column, as
+    agent i's rows read only its own entries. One probe per local
+    coordinate, set for all agents at once; the probe is a power of two far
+    above the offsets, so they drop out and the division by it is exact:
+    the coefficients keep every bit."""
     n_agents, shape = problem.n_agents, (2, problem.n_agents, 2 * problem.m)
     size = problem.dim + math.prod(shape)
-    zeros = np.zeros(size)
-    x, block = _split_state(np.arange(size), shape)
-    flat = np.hstack([x.reshape(n_agents, -1), block.swapaxes(0, 1).reshape(n_agents, -1)])
+    block = _split_state(np.arange(size), shape)[1]
+    width = max(obj.dim_x for obj in problem.agents)
+    xs, lo = [], 0
+    for obj in problem.agents:
+        xs.append([*range(lo, lo + obj.dim_x), *[size] * (width - obj.dim_x)])
+        lo += obj.dim_x
+    flat = np.hstack([xs, block.swapaxes(0, 1).reshape(n_agents, -1)])
     rhs = partial(closed_loop_rhs, problem, delta, np.zeros(shape), 0.0)
-    offset = rhs(zeros)
+    zeros = np.zeros(size + 1)  # the flat state, then the pads' entry
+    offset = rhs(zeros[:size])
     scale = 2.0 ** (math.frexp(max(1.0, np.abs(offset).max()))[1] + 80)
     a = np.empty((n_agents, flat.shape[1], flat.shape[1]))
+    column = zeros.copy()
     for c, probed in enumerate(flat.T):
         probe = zeros.copy()
         probe[probed] = scale
-        a[:, :, c] = ((rhs(probe) - offset) / scale)[flat]
+        column[:size] = (rhs(probe[:size]) - offset) / scale
+        a[:, :, c] = column[flat]
     return flat, a
 
 
@@ -232,15 +247,20 @@ def closed_loop_step(
     flat state y, as (k, size) rows, each one RK4 step of length h of
     :func:`closed_loop_rhs` after the last with ``coupling`` held.
 
-    For an affine network (``problem.network.affine``) RK4 on the per-agent
-    blocks ``A_i`` of :func:`_probed_blocks` is exactly ``y+ = P y + Q b``,
-    with ``Z = h A_i``, ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
+    For an affine network (``problem.network.affine``: the dispatch family,
+    or agents that all declare ``LocalObjective.quadratic``) RK4 on the
+    per-agent blocks ``A_i`` of :func:`_probed_blocks` is exactly
+    ``y+ = P y + Q b``, with ``Z = h A_i``,
+    ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
     ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)`` formed once. ``b`` is
     ``closed_loop_rhs`` at y = 0, which reads the coupling only in the
     estimator derivative: ``step`` re-evaluates that part alone. ``advance``
     keeps the k states in the agents' gathered layout and scatters them into
-    flat rows once. The map is checked once against one ``rk4_step`` of
-    ``closed_loop_rhs`` (``ValueError`` if they differ). Other networks take
+    flat rows once. Padded coordinates gather a zero after the state; their
+    rows and columns of ``A_i`` are zero, so they stay zero, and they are
+    never scattered.
+    The map is checked once against one ``rk4_step`` of ``closed_loop_rhs``
+    (``ValueError`` naming "affine" if they differ). Other networks take
     that ``rk4_step`` for every state.
     """
     rhs = partial(closed_loop_rhs, problem, delta)
@@ -260,9 +280,14 @@ def closed_loop_step(
         return rk4_steps
 
     flat, a = _probed_blocks(problem, delta)
-    zeros = np.zeros(flat.size)
-    order = np.empty(flat.size, dtype=int)  # gathered position of each flat index
+    shape = (2, problem.n_agents, 2 * problem.m)
+    size = problem.dim + math.prod(shape)
+    zeros = np.zeros(size)
+    # gathered position of each flat index; the pads' slot past the state is dropped
+    order = np.empty(size + 1, dtype=int)
     order[flat.ravel()] = np.arange(flat.size)
+    order = order[:size]
+    padded = np.zeros(size + 1)  # a flat state, then the pads' zero
     z = h * a
     eye = np.eye(flat.shape[1])
     z2 = z @ z
@@ -272,18 +297,19 @@ def closed_loop_step(
 
     # the estimator derivative's other inputs at y = 0 are fixed, and the
     # rest of b does not read the coupling: both are evaluated once
-    shape = (2, problem.n_agents, 2 * problem.m)
     b = rhs(np.zeros(shape), 0.0, zeros)
     x, (eta, _) = _split_state(zeros, shape)
     thetas = theta_stack(problem, x, eta[:, : problem.m])
 
     def step(coupling: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
         estimator_derivative(eta, thetas, coupling, delta, out=_split_state(b, shape)[1])
-        qb = q @ b.take(flat)[..., None]
+        padded[:size] = b
+        qb = q @ padded.take(flat)[..., None]
 
         def advance(y: np.ndarray, k: int) -> np.ndarray:
             gathered = np.empty((k, *flat.shape, 1))
-            g = y.take(flat)[..., None]
+            padded[:size] = y
+            g = padded.take(flat)[..., None]
             for r in range(k):
                 g = gathered[r] = p @ g + qb
             return gathered.reshape(k, -1).take(order, axis=1)
@@ -292,7 +318,7 @@ def closed_loop_step(
 
     # irregular entries of both signs, from a ufunc the run calls anyway:
     # numpy.random or a new ufunc would add resident memory
-    irregular = np.log(np.arange(2.0, 2 * flat.size - problem.dim + 2.0)) - 2.0
+    irregular = np.log(np.arange(2.0, 2 * size - problem.dim + 2.0)) - 2.0
     state, coupling = _split_state(irregular, shape)
     want = rk4_step(partial(rhs, coupling), 0.0, state, h)
     # rounding moves entries by a few 2^-53 of the state and the increment; a

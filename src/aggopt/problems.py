@@ -14,7 +14,9 @@ strictly convex quadratic whose Hessian is ``2 diag(a) + (2 c1 / N) ones``.
 Every network-wide evaluation goes through ``AggregativeProblem.network``,
 the one place that picks the vectorized :class:`DispatchFamily` (for
 problems with dispatch coefficients) or the :class:`PerAgent` loop over the
-local objectives. Both give identical results on dispatch instances.
+local objectives. Both give identical results on dispatch instances, and
+the dispatch agents declare themselves ``quadratic``, so both forms of a
+dispatch instance run on the same step map.
 """
 
 from __future__ import annotations
@@ -62,6 +64,17 @@ class LocalObjective:
     these shapes and raises ``ValueError`` naming the agent and the
     callable on a mismatch. It never writes to a returned array, so a
     callable may return the same array every time, read-only or not.
+
+    ``quadratic`` declares that ``grad_x``, ``grad_sigma`` and ``phi`` are
+    affine in ``(x_i, s)`` and ``jac_phi`` is constant, as for a quadratic
+    cost with a linear aggregate. A network whose agents all declare it
+    runs on the engine's precomputed step map (see
+    :func:`aggopt.engine.closed_loop_step`), whose states agree with RK4
+    of the right-hand side to rounding, not bit for bit. Affinity of a
+    callable cannot be detected safely (a clipped gradient is affine near
+    any one point), so it is declared. A false claim is caught only where
+    the map's one-point check sees it, with a ``ValueError`` naming
+    "affine"; a claim it misses runs the affine model probed at zero.
     """
 
     dim_x: int
@@ -70,6 +83,7 @@ class LocalObjective:
     grad_sigma: Callable[[Vector, Vector], Vector]
     phi: Callable[[Vector], Vector]
     jac_phi: Callable[[Vector], Vector]
+    quadratic: bool = False
 
 
 @dataclass(frozen=True)
@@ -145,7 +159,10 @@ class DispatchFamily:
     grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2), and ``affine``:
     whether ``theta`` and ``drive`` are affine in (x, eta1, eta2) with each
     agent's rows reading only that agent's entries, which lets the engine
-    advance the closed loop by a precomputed per-agent step map.
+    advance the closed loop by a precomputed per-agent step map. The
+    dispatch family is always affine; a :class:`PerAgent` network is when
+    every agent declares ``quadratic``, and then both evaluators give the
+    same step map, bit for bit.
     """
 
     affine = True
@@ -183,14 +200,16 @@ class PerAgent:
     """Any problem, one :class:`LocalObjective` call per agent; agent i owns
     the dim_x entries of the stacked decisions after those of agents < i.
 
+    Every method checks the shapes the agents' callables return;
     ``theta`` and ``drive`` write each agent's row or slice into one array
-    per call, after checking the shapes the agent's callables return."""
-
-    affine = False
+    per call. ``affine`` holds when every agent declares ``quadratic``:
+    each agent's callables read only its own entries, so the closed loop
+    is then affine agent by agent."""
 
     def __init__(self, agents: tuple[LocalObjective, ...], m: int) -> None:
         self.agents = agents
         self.m = m
+        self.affine = all(obj.quadratic for obj in agents)
         offs = np.cumsum([0] + [obj.dim_x for obj in agents])
         self.slices = [slice(int(lo), int(hi)) for lo, hi in zip(offs[:-1], offs[1:])]
         # (agent, objective, its slice, grad_x's shape, jac_phi's shape)
@@ -204,8 +223,10 @@ class PerAgent:
 
     def aggregate(self, x: Vector) -> Vector:
         total = np.zeros(self.m)
-        for obj, x_i in zip(self.agents, self.blocks(x)):
-            total += obj.phi(x_i)
+        for i, obj, sl, _, _ in self.layout:
+            value = obj.phi(x[sl])
+            _shape_error(i, ("phi", value, total.shape))
+            total += value
         return total / len(self.agents)
 
     def cost(self, x: Vector) -> float:
@@ -214,14 +235,17 @@ class PerAgent:
 
     def gradient(self, x: Vector) -> Vector:
         s = self.aggregate(x)
-        xs = self.blocks(x)
         total_gs = np.zeros(self.m)
-        for obj, x_i in zip(self.agents, xs):
-            total_gs += obj.grad_sigma(x_i, s)
-        parts = []
-        for obj, x_i in zip(self.agents, xs):
-            parts.append(obj.grad_x(x_i, s) + obj.jac_phi(x_i).T @ total_gs / len(self.agents))
-        return np.concatenate(parts)
+        for i, obj, sl, _, _ in self.layout:
+            value = obj.grad_sigma(x[sl], s)
+            _shape_error(i, ("grad_sigma", value, total_gs.shape))
+            total_gs += value
+        out = np.empty(x.size)
+        for i, obj, sl, grad_shape, jac_shape in self.layout:
+            grad, jac = obj.grad_x(x[sl], s), obj.jac_phi(x[sl])
+            _shape_error(i, ("grad_x", grad, grad_shape), ("jac_phi", jac, jac_shape))
+            out[sl] = grad + jac.T @ total_gs / len(self.agents)
+        return out
 
     def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
@@ -352,7 +376,7 @@ def _der_agent(a: float, b: float, d: float, c0: float, c1: float) -> LocalObjec
     def jac_phi(x: Vector) -> Vector:
         return jac
 
-    return LocalObjective(1, cost, grad_x, grad_sigma, phi, jac_phi)
+    return LocalObjective(1, cost, grad_x, grad_sigma, phi, jac_phi, quadratic=True)
 
 
 def from_der_parameters(params: DerParameters) -> AggregativeProblem:
@@ -404,6 +428,8 @@ def with_frozen_decisions(problem: AggregativeProblem) -> AggregativeProblem:
     estimator-only experiments; the returned objectives deliberately break
     the gradient/cost consistency of real instances. Each agent's zero
     gradient and zero Jacobian are one read-only array, returned every call.
+    Zeros are affine, so each agent keeps its ``quadratic`` declaration:
+    frozen dispatch agents run on the engine's step map.
     """
 
     def freeze(obj: LocalObjective) -> LocalObjective:

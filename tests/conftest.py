@@ -70,11 +70,13 @@ def _vector_agent(a, q, lin):
         grad_sigma=lambda x, s: VECTOR_P @ a @ x,
         phi=lambda x: a @ x,
         jac_phi=lambda x: a,
+        quadratic=True,
     )
 
 
 @pytest.fixture(scope="session")
 def vector3():
-    """The vector-valued problem above (dim_x = 1, 2, 2 and m = 2)."""
+    """The vector-valued problem above (dim_x = 1, 2, 2 and m = 2), declared
+    quadratic, so it runs on the engine's step map."""
     agents = tuple(map(_vector_agent, VECTOR_A, VECTOR_Q, VECTOR_LIN))
     return AggregativeProblem(agents=agents, m=2)

@@ -75,6 +75,13 @@ def vector_config(vector3, **overrides):
     return SimConfig(**base)
 
 
+def undeclared(problem):
+    """The per-agent form of ``problem`` with every agent's ``quadratic``
+    declaration withdrawn: it advances one ``rk4_step`` per grid step."""
+    agents = tuple(replace(obj, quadratic=False) for obj in problem.agents)
+    return AggregativeProblem(agents=agents, m=problem.m)
+
+
 def rhs_parts(problem, lap, delta, x, eta, w, eta_hat, w_hat):
     """closed_loop_rhs on the flat state built from (x, eta, w), split back
     into (x_dot, eta_dot, w_dot)."""
@@ -354,7 +361,10 @@ def test_consensus_error_matches_per_sample_reference(case, der4, ring4, vector3
 
 
 def test_generic_path_matches_vectorized_run(der4, ring4, der4_x_star):
-    generic = AggregativeProblem(agents=der4.agents, m=der4.m)
+    # per-agent RK4 of closed_loop_rhs and the dispatch step map agree to
+    # rounding, which moves no event on this horizon
+    generic = undeclared(der4)
+    assert not generic.network.affine
     cfg_fast = event_config(der4, ring4, t_end=1.0, output_stride=20)
     cfg_slow = SimConfig(
         problem=generic, graph=ring4, delta=0.1, h=0.005, t_end=1.0,
@@ -486,27 +496,37 @@ def flat_states(result):
 
 
 @pytest.mark.parametrize(
-    "case", ["event", "periodic", "continuous", "per_agent", "vector", "dispatch15", "mixed"]
+    "case",
+    [
+        "event", "periodic", "continuous", "per_agent", "per_agent_rk4",
+        "vector", "vector_rk4", "dispatch15", "mixed",
+    ],
 )
 def test_run_matches_reference_loop(case, der4, ring4, der4_x_star, vector3):
     # run() advances spans of grid steps with the broadcasts held and checks
     # the trigger rule once per span; the reference checks it at every grid
     # time and rebuilds the coupling in every step, so a span that runs past
     # a broadcast, or a broadcast that does not refresh the coupling, makes
-    # the trajectories part. Dispatch cases apply the engine's step map,
-    # whose agreement with an RK4 step of closed_loop_rhs is tested on its
-    # own. dispatch15 fires at almost every grid time and records every
-    # third state; mixed holds event and periodic agents.
+    # the trajectories part. Affine cases (dispatch, and agents declared
+    # quadratic) apply the engine's step map, whose agreement with an RK4
+    # step of closed_loop_rhs is tested on its own; the _rk4 cases withdraw
+    # the declaration and take RK4 steps. dispatch15 fires at almost every
+    # grid time and records every third state; mixed holds event and
+    # periodic agents.
     schemes = {
         "periodic": (Periodic(0.02),) * 4, "continuous": (Continuous(),) * 4,
         "mixed": (EVENT_SCHEMES[0], Periodic(0.02), EVENT_SCHEMES[2], Periodic(0.035)),
     }.get(case, EVENT_SCHEMES)
-    problem = AggregativeProblem(agents=der4.agents, m=der4.m) if case == "per_agent" else der4
+    problem = {
+        "per_agent": AggregativeProblem(agents=der4.agents, m=der4.m),
+        "per_agent_rk4": undeclared(der4),
+    }.get(case, der4)
     cfg = event_config(der4, ring4, problem=problem, schemes=schemes, t_end=1.0, output_stride=1)
     x_star = der4_x_star
-    if case == "vector":
-        problem, x_star = vector3, None
-        cfg = vector_config(vector3, t_end=1.0, output_stride=1)
+    if case.startswith("vector"):
+        problem, x_star = vector3 if case == "vector" else undeclared(vector3), None
+        cfg = vector_config(problem, t_end=1.0, output_stride=1)
+    assert problem.network.affine == (not case.endswith("_rk4"))
     if case == "dispatch15":
         problem, x_star = make_dispatch_instance(15, 1), None
         cfg = SimConfig(
@@ -552,14 +572,18 @@ def test_divergence_inside_a_span_matches_reference_loop(monkeypatch):
 
 
 @st.composite
-def loop_cases(draw, per_agent, steps):
+def loop_cases(draw, form, steps):
     """A small dispatch network with per-agent schemes, a stride, a step
-    from ``steps`` and a horizon of 50-400 steps; ``per_agent`` takes the
-    agents' per-agent form, which advances one RK4 step per span."""
+    from ``steps`` and a horizon of 50-400 steps. ``form`` "step_map" keeps
+    the dispatch evaluator, "declared" takes the agents' per-agent form,
+    which runs on the same step map, and "per_agent" withdraws their
+    quadratic declaration, so it advances one RK4 step per span."""
     n = draw(st.integers(2, 6))
     problem = make_dispatch_instance(n, draw(st.integers(0, 999)))
-    if per_agent:
+    if form == "declared":
         problem = AggregativeProblem(agents=problem.agents, m=problem.m)
+    elif form == "per_agent":
+        problem = undeclared(problem)
     h = draw(st.sampled_from(steps))
     event = st.builds(
         Event,
@@ -589,20 +613,21 @@ class DueBoundRule(TriggerRule):
         return super().fire(times, estimators, hats)
 
 
-@pytest.mark.parametrize("per_agent", [False, True], ids=["step_map", "per_agent"])
+@pytest.mark.parametrize("form", ["step_map", "declared", "per_agent"])
 @pytest.mark.parametrize(
     "steps", [(0.002, 0.005, 0.01), (0.5,)], ids=["stable", "diverging"]
 )
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_run_matches_reference_loop_on_random_cases(per_agent, steps, data):
+def test_run_matches_reference_loop_on_random_cases(form, steps, data):
     # run() checks spans of steps at once; the reference checks triggers and
     # divergence after every step. Spans bounded by due steps, records after
     # partial spans, broadcasts at a span's last checked row, divergence
     # inside a span after a broadcast and the unchecked last grid time all
     # come up. h = 0.5 = 5 delta is unstable.
-    cfg = data.draw(loop_cases(per_agent, steps))
+    cfg = data.draw(loop_cases(form, steps))
     problem = cfg.problem
+    assert problem.network.affine == (form != "per_agent")
     if problem.network.affine:
         advance_of = map_of(problem, cfg.delta, cfg.h)
     else:
@@ -650,10 +675,13 @@ def random_held_state(problem, lap, rng, scale):
     return y, broadcast_coupling(lap, hats)
 
 
-@pytest.mark.parametrize("case", ["der4", "dispatch15", "dispatch200"])
-def test_closed_loop_step_matches_rk4_of_rhs(case, der4):
-    # measured against the increment, which shrinks with h, not against y
-    problem = der4 if case == "der4" else make_dispatch_instance(int(case[8:]), 1)
+@pytest.mark.parametrize("case", ["der4", "dispatch15", "dispatch200", "vector3"])
+def test_closed_loop_step_matches_rk4_of_rhs(case, der4, vector3):
+    # measured against the increment, which shrinks with h, not against y;
+    # vector3's agents hold 1, 2 and 2 decisions, so agent 0's block is padded
+    problem = {"der4": der4, "vector3": vector3}.get(case)
+    if problem is None:
+        problem = make_dispatch_instance(int(case[8:]), 1)
     lap = laplacian(ring(problem.n_agents))
     h = 1e-3
     step = closed_loop_step(problem, 0.1, h)
@@ -683,9 +711,74 @@ def test_probed_coefficients_keep_every_bit():
     assert np.array_equal(blocks, expected)
 
 
+def test_probed_blocks_of_declared_agents_equal_dispatch_blocks(der4):
+    # the dispatch agents declare themselves quadratic, so their per-agent
+    # form probes the dispatch family's blocks, bit for bit
+    for problem in (der4, make_dispatch_instance(15, 1)):
+        declared = AggregativeProblem(agents=problem.agents, m=problem.m)
+        assert declared.network.affine
+        for got, want in zip(_probed_blocks(declared, 0.1), _probed_blocks(problem, 0.1)):
+            assert np.array_equal(got, want)
+
+
+def test_unequal_local_sizes_are_padded(vector3):
+    # dim_x = 1, 2, 2 and m = 2: agent 0 has one pad after its decision, the
+    # index one past the flat state, with a zero row and column; every flat
+    # index appears once
+    flat, blocks = _probed_blocks(vector3, 0.1)
+    size = vector3.dim + 2 * 3 * 4
+    assert flat.shape == (3, 10)
+    assert flat[0, :2].tolist() == [0, size] and flat[1, :2].tolist() == [1, 2]
+    assert sorted(flat[flat < size].tolist()) == list(range(size))
+    assert not blocks[0, 1].any() and not blocks[0, :, 1].any()
+
+
+def test_declared_per_agent_run_equals_dispatch_run(der4, ring4, der4_x_star):
+    # both forms of der4 run on one step map: every result array and event
+    # time is equal, bit for bit
+    declared = AggregativeProblem(agents=der4.agents, m=der4.m)
+    cfg = event_config(der4, ring4, t_end=2.5, output_stride=5)
+    fast = run(cfg, x_star=der4_x_star)
+    slow = run(replace(cfg, problem=declared), x_star=der4_x_star)
+    for name in ("times", "x", "eta", "w", "eta_hat", "w_hat"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    for name in ("final_x", "decision_error", "consensus_error", "broadcast_counts"):
+        assert np.array_equal(getattr(fast.metrics, name), getattr(slow.metrics, name)), name
+    assert len(fast.events.times) == len(slow.events.times) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(fast.events.times, slow.events.times))
+    assert fast.events.total > 8
+
+
+@pytest.mark.parametrize("case", ["declared", "vector3", "frozen", "undeclared", "frozen_rk4"])
+def test_rk4_step_calls_per_run(case, der4, ring4, der4_x_star, vector3, monkeypatch):
+    # a network on the step map takes one rk4_step, the map's check, which
+    # marks the end of set-up; without the map, each grid step takes one
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return rk4_step(*args, **kwargs)
+
+    problem = {
+        "declared": AggregativeProblem(agents=der4.agents, m=der4.m),
+        "vector3": vector3,
+        "frozen": with_frozen_decisions(der4),
+        "undeclared": undeclared(der4),
+        "frozen_rk4": with_frozen_decisions(undeclared(der4)),
+    }[case]
+    if case == "vector3":
+        cfg = vector_config(vector3, t_end=0.5)
+    else:
+        cfg = event_config(der4, ring4, problem=problem, t_end=0.5)
+    monkeypatch.setattr(engine, "rk4_step", spy)
+    run(cfg, x_star=None if case == "vector3" else der4_x_star)
+    assert len(calls) == (100 if case in ("undeclared", "frozen_rk4") else 1)
+
+
 def test_per_agent_field_is_closed_loop_rhs(der4, ring4):
-    # PerAgent networks take one rk4_step of closed_loop_rhs itself per step
-    generic = AggregativeProblem(agents=der4.agents, m=der4.m)
+    # undeclared PerAgent networks take one rk4_step of closed_loop_rhs
+    # itself per step
+    generic = undeclared(der4)
     lap = laplacian(ring4)
     y, coupling = random_held_state(generic, lap, np.random.default_rng(3), 10.0)
     got = closed_loop_step(generic, 0.1, 1e-3)(coupling)(y, 1)[0]
@@ -705,6 +798,27 @@ class CrossAgent(DispatchFamily):
 
     def drive(self, x, eta1, eta2):
         return super().drive(x, eta1, eta2) + 1e-3 * x.mean()
+
+
+def cubic_gradient(obj):
+    return replace(obj, grad_x=lambda x, s, grad_x=obj.grad_x: grad_x(x, s) + 1e-3 * x**3)
+
+
+def varying_jacobian(obj):
+    return replace(obj, jac_phi=lambda x: np.array([[1.0 + 1e-3 * x[0]]]))
+
+
+@pytest.mark.parametrize("false_claim", [cubic_gradient, varying_jacobian])
+def test_closed_loop_step_rejects_false_quadratic_declaration(false_claim, der4):
+    # agent 2 still declares itself quadratic; the map probed at zero misses
+    # its curvature, and the one-point check sees the difference
+    agents = list(der4.agents)
+    agents[2] = false_claim(agents[2])
+    problem = AggregativeProblem(agents=tuple(agents), m=der4.m)
+    assert problem.network.affine
+    for h in (1e-3, 5e-3):
+        with pytest.raises(ValueError, match="affine"):
+            closed_loop_step(problem, 0.1, h)
 
 
 @pytest.mark.parametrize("network", [Curved, CrossAgent], ids=["curved", "cross_agent"])

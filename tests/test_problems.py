@@ -17,6 +17,7 @@ from aggopt import (
     make_dispatch_instance,
     quadratic_hessian,
     sigma,
+    solve_kkt_quadratic,
     with_frozen_decisions,
 )
 from aggopt.engine import closed_loop_rhs
@@ -239,6 +240,38 @@ def test_per_agent_shape_errors_name_agent_and_callable(vector3, name, bad, got,
     message = rf"agent 1: {name} returned shape {re.escape(str(got))}, expected {re.escape(str(want))}"
     with pytest.raises(ValueError, match=message):
         closed_loop_rhs(problem, 0.1, np.zeros(shape), 0.0, y)
+
+
+@pytest.mark.parametrize(
+    "evaluate, name",
+    [
+        (sigma, "phi"),
+        (global_cost, "phi"),
+        (global_gradient, "phi"),
+        (global_gradient, "grad_sigma"),
+        (global_gradient, "grad_x"),
+        (global_gradient, "jac_phi"),
+        (solve_kkt_quadratic, "grad_sigma"),
+    ],
+)
+def test_network_functions_check_returned_shapes(vector3, evaluate, name):
+    # agent 1 has dim_x = 2 and m = 2; a 1-vector phi, grad_sigma or grad_x
+    # and a one-column Jacobian all broadcast if they reach the sums, and
+    # the KKT solve then calls the instance not strictly convex
+    wrong = {
+        "phi": lambda x: np.array([x[0]]),
+        "grad_sigma": lambda x, s: np.array([x[0]]),
+        "grad_x": lambda x, s: np.array([x[0]]),
+        "jac_phi": lambda x: np.ones((2, 1)),
+    }
+    want = (2, 2) if name == "jac_phi" else (2,)
+    got = (2, 1) if name == "jac_phi" else (1,)
+    agents = list(vector3.agents)
+    agents[1] = dataclasses.replace(agents[1], **{name: wrong[name]})
+    problem = AggregativeProblem(agents=tuple(agents), m=vector3.m)
+    message = rf"agent 1: {name} returned shape {re.escape(str(got))}, expected {re.escape(str(want))}"
+    with pytest.raises(ValueError, match=message):
+        evaluate(problem) if evaluate is solve_kkt_quadratic else evaluate(problem, np.ones(5))
 
 
 def test_undersized_gradient_with_row_jacobian_is_rejected():
