@@ -36,7 +36,7 @@ for seed in range(5):
     n = 2 + seed
     instance = make_dispatch_instance(n, seed)
     reference = solve_kkt_quadratic(instance)
-    eigs = np.linalg.eigvalsh(quadratic_hessian(instance.der_params))
+    eigs = np.linalg.eigvalsh(quadratic_hessian(instance))
     flow = centralized_flow(
         instance,
         np.zeros(n),

@@ -29,7 +29,7 @@ print("random graph: connected =", is_connected(graph), " edges =", len(graph.ed
 print("spectral bound for trigger decay rates:", f"{lambda_bound(laplacian(graph)):.4f}")
 
 x_star = solve_kkt_quadratic(problem)
-eigs = np.linalg.eigvalsh(quadratic_hessian(problem.der_params))
+eigs = np.linalg.eigvalsh(quadratic_hessian(problem))
 print("Hessian eigenvalue range:", f"[{eigs[0]:.4f}, {eigs[-1]:.4f}]")
 
 t_end = float(np.ceil(np.log(1.0 / 1e-3) / eigs[0] * 1.4))

@@ -11,8 +11,8 @@ loop advances everything, a span of grid steps at a time:
   1. advance (x, eta, w) by K steps of 4th order of :func:`closed_loop_rhs`
      with the broadcasts held (:func:`closed_loop_step`). The neighbor
      coupling reads broadcasts only, so it is computed once when some agent
-     broadcasts and held in between. For affine networks (the dispatch
-     family, and agents that all declare ``LocalObjective.quadratic``) each
+     broadcasts and held in between. For affine networks (agents that all
+     declare ``LocalObjective.quadratic``, as the dispatch agents do) each
      step is a per-agent affine map ``y+ = P y + Q b`` formed once per run,
      with only ``Q b`` recomputed on broadcast steps; it agrees with RK4 to
      rounding. Other networks take one RK4 step of the field per state;
@@ -211,20 +211,17 @@ def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarra
     """Agent i's block ``a[i]`` of ``A`` in the affine closed loop ``A y + b``
     (coupling held), over the flat indices ``flat[i]`` of its coordinates:
     its decisions, then its eta and w rows. An agent with fewer decisions
-    than the largest ``dim_x`` is padded after them with the index one past
-    the flat state. Its row of ``a[i]`` is zero, and so is its column, as
-    agent i's rows read only its own entries. One probe per local
-    coordinate, set for all agents at once; the probe is a power of two far
-    above the offsets, so they drop out and the division by it is exact:
-    the coefficients keep every bit."""
+    than the largest ``dim_x`` is padded after them (``network.gathered``)
+    with the index one past the flat state. Its row of ``a[i]`` is zero,
+    and so is its column, as agent i's rows read only its own entries. One
+    probe per local coordinate, set for all agents at once; the probe is a
+    power of two far above the offsets, so they drop out and the division
+    by it is exact: the coefficients keep every bit."""
     n_agents, shape = problem.n_agents, (2, problem.n_agents, 2 * problem.m)
     size = problem.dim + math.prod(shape)
     block = _split_state(np.arange(size), shape)[1]
-    width = max(obj.dim_x for obj in problem.agents)
-    xs, lo = [], 0
-    for obj in problem.agents:
-        xs.append([*range(lo, lo + obj.dim_x), *[size] * (width - obj.dim_x)])
-        lo += obj.dim_x
+    xs = problem.network.gathered
+    xs = np.where(xs < problem.dim, xs, size)
     flat = np.hstack([xs, block.swapaxes(0, 1).reshape(n_agents, -1)])
     rhs = partial(closed_loop_rhs, problem, delta, np.zeros(shape), 0.0)
     zeros = np.zeros(size + 1)  # the flat state, then the pads' entry
@@ -247,9 +244,9 @@ def closed_loop_step(
     flat state y, as (k, size) rows, each one RK4 step of length h of
     :func:`closed_loop_rhs` after the last with ``coupling`` held.
 
-    For an affine network (``problem.network.affine``: the dispatch family,
-    or agents that all declare ``LocalObjective.quadratic``) RK4 on the
-    per-agent blocks ``A_i`` of :func:`_probed_blocks` is exactly
+    For an affine network (``problem.network.affine``: agents that all
+    declare ``LocalObjective.quadratic``) RK4 on the per-agent blocks
+    ``A_i`` of :func:`_probed_blocks` is exactly
     ``y+ = P y + Q b``, with ``Z = h A_i``,
     ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
     ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)`` formed once. ``b`` is
@@ -260,8 +257,10 @@ def closed_loop_step(
     rows and columns of ``A_i`` are zero, so they stay zero, and they are
     never scattered.
     The map is checked once against one ``rk4_step`` of ``closed_loop_rhs``
-    (``ValueError`` naming "affine" if they differ). Other networks take
-    that ``rk4_step`` for every state.
+    (``ValueError`` naming "affine" if they differ), which catches an
+    evaluator that is affine in name only; :class:`aggopt.problems.Quadratic`
+    has checked each agent's declaration already. Other networks take that
+    ``rk4_step`` for every state.
     """
     rhs = partial(closed_loop_rhs, problem, delta)
     if not problem.network.affine:

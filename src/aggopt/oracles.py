@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import DivergenceError, ensure_finite, rk4_step
-from .problems import AggregativeProblem, global_gradient
+from .problems import AggregativeProblem, global_gradient, quadratic_hessian
 
 __all__ = [
     "CentralizedTrajectory",
@@ -40,20 +40,13 @@ class CentralizedTrajectory:
 def solve_kkt_quadratic(problem: AggregativeProblem) -> np.ndarray:
     """Unique minimizer of a strictly convex quadratic instance.
 
-    The gradient of a quadratic cost is affine, so probing it at the basis
-    vectors recovers the exact Hessian: H[:, j] = grad(e_j) - grad(0). The
-    minimizer solves H x = -grad(0). Raises ValueError when the instance is
-    not strictly convex or not quadratic (stationarity residual check).
+    The minimizer solves H x = -grad(0) with H from
+    :func:`aggopt.problems.quadratic_hessian`. Raises ValueError when the
+    instance is not strictly convex or not quadratic (stationarity residual
+    check).
     """
-    n = problem.dim
-    g0 = global_gradient(problem, np.zeros(n))
-    hess = np.empty((n, n))
-    basis = np.zeros(n)
-    for j in range(n):
-        basis[j] = 1.0
-        hess[:, j] = global_gradient(problem, basis) - g0
-        basis[j] = 0.0
-    hess = 0.5 * (hess + hess.T)
+    hess = quadratic_hessian(problem)
+    g0 = global_gradient(problem, np.zeros(problem.dim))
     try:
         np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
@@ -113,7 +106,8 @@ def fit_decay_rate(times: np.ndarray, errors: np.ndarray) -> float:
 
     Fits log(e) against t over the points with e > ``DECAY_FIT_FLOOR``
     (non-positive entries are dropped) and returns the negated slope, so a
-    decaying series yields a positive rate. Needs at least 10 usable points.
+    decaying series yields a positive rate. Needs at least 10 usable
+    points, at more than one time.
     """
     times = np.asarray(times, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -122,5 +116,8 @@ def fit_decay_rate(times: np.ndarray, errors: np.ndarray) -> float:
     mask = np.isfinite(errors) & (errors > DECAY_FIT_FLOOR)
     if int(mask.sum()) < 10:
         raise ValueError("fewer than 10 usable points above the error floor")
-    slope = np.polyfit(times[mask], np.log(errors[mask]), 1)[0]
-    return float(-slope)
+    # closed-form least-squares slope over centered times
+    t, log_e = times[mask] - times[mask].mean(), np.log(errors[mask])
+    if not t @ t > 0.0:
+        raise ValueError("the usable points all lie at one time")
+    return float(-(t @ (log_e - log_e.mean())) / (t @ t))

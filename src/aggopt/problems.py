@@ -12,15 +12,15 @@ with price intercept c0 and slope c1. For that family the global cost is a
 strictly convex quadratic whose Hessian is ``2 diag(a) + (2 c1 / N) ones``.
 
 Every network-wide evaluation goes through ``AggregativeProblem.network``,
-the one place that picks the vectorized :class:`DispatchFamily` (for
-problems with dispatch coefficients) or the :class:`PerAgent` loop over the
-local objectives. Both give identical results on dispatch instances, and
-the dispatch agents declare themselves ``quadratic``, so both forms of a
-dispatch instance run on the same step map.
+the one place that picks an evaluator, from the agents' declarations: a
+network whose agents all declare ``LocalObjective.quadratic`` (the
+dispatch agents do) is one vectorized affine model (:class:`Quadratic`),
+and any other calls its local objectives one by one (:class:`PerAgent`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -31,8 +31,8 @@ __all__ = [
     "LocalObjective",
     "DerParameters",
     "AggregativeProblem",
-    "DispatchFamily",
     "PerAgent",
+    "Quadratic",
     "theta",
     "sigma",
     "global_cost",
@@ -67,14 +67,13 @@ class LocalObjective:
 
     ``quadratic`` declares that ``grad_x``, ``grad_sigma`` and ``phi`` are
     affine in ``(x_i, s)`` and ``jac_phi`` is constant, as for a quadratic
-    cost with a linear aggregate. A network whose agents all declare it
-    runs on the engine's precomputed step map (see
-    :func:`aggopt.engine.closed_loop_step`), whose states agree with RK4
-    of the right-hand side to rounding, not bit for bit. Affinity of a
-    callable cannot be detected safely (a clipped gradient is affine near
-    any one point), so it is declared. A false claim is caught only where
-    the map's one-point check sees it, with a ``ValueError`` naming
-    "affine"; a claim it misses runs the affine model probed at zero.
+    cost with a linear aggregate. A network whose agents all declare it is
+    one affine model (:class:`Quadratic`) and runs on the engine's step map
+    (:func:`aggopt.engine.closed_loop_step`). Affinity of a callable cannot
+    be detected safely (a clipped gradient is affine near any one point),
+    so it is declared. A false claim is caught when the network is built,
+    where the model's probes and its check point see it (``ValueError``
+    naming the agent and "affine"); a claim they miss runs the model.
     """
 
     dim_x: int
@@ -105,10 +104,6 @@ class DerParameters:
             raise ValueError("a, b, d must have equal length")
         if len(self.a) < 1:
             raise ValueError("need at least one unit")
-
-    @property
-    def n_units(self) -> int:
-        return len(self.a)
 
 
 def _shape_error(agent: int | None, *returned: tuple[str, np.ndarray, tuple[int, ...]]) -> None:
@@ -149,62 +144,20 @@ def theta(obj: LocalObjective, x_i: np.ndarray, eta_i1: np.ndarray) -> np.ndarra
     return row
 
 
-class DispatchFamily:
-    """All units of a dispatch instance at once, as vector expressions in
-    the coefficients (phi is the identity and m = 1).
-
-    Both evaluators provide ``aggregate`` (sigma), ``cost`` and ``gradient``
-    of the global cost, ``theta`` (the (N, 2m) estimator inputs; (K, N, 2m)
-    for K samples stacked on a leading axis) and ``drive`` (stacked
-    grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2), and ``affine``:
-    whether ``theta`` and ``drive`` are affine in (x, eta1, eta2) with each
-    agent's rows reading only that agent's entries, which lets the engine
-    advance the closed loop by a precomputed per-agent step map. The
-    dispatch family is always affine; a :class:`PerAgent` network is when
-    every agent declares ``quadratic``, and then both evaluators give the
-    same step map, bit for bit.
-    """
-
-    affine = True
-
-    def __init__(self, params: DerParameters) -> None:
-        self.a = np.array(params.a)
-        self.b = np.array(params.b)
-        self.d = np.array(params.d)
-        self.c0 = params.price_intercept
-        self.c1 = params.price_slope
-        self.two_a = 2.0 * self.a
-        # theta's two columns are phi(x) = x and grad_sigma = c1 * x
-        self.theta_scale = np.array([1.0, self.c1])
-
-    def aggregate(self, x: Vector) -> Vector:
-        return np.array([x.mean()])
-
-    def cost(self, x: Vector) -> float:
-        price = self.c0 - self.c1 * self.aggregate(x)[0]
-        return float(self.a @ x**2 + self.b @ x + self.d.sum() - price * x.sum())
-
-    def gradient(self, x: Vector) -> Vector:
-        # phi is the identity, so the aggregate-sensitivity term collapses
-        # to price_slope * mean(x) = price_slope * s.
-        return self.two_a * x + self.b - self.c0 + 2.0 * self.c1 * self.aggregate(x)[0]
-
-    def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
-        return x[..., None] * self.theta_scale
-
-    def drive(self, x: Vector, eta1: np.ndarray, eta2: np.ndarray) -> Vector:
-        return self.two_a * x + self.b - self.c0 + self.c1 * eta1[:, 0] + eta2[:, 0]
-
-
 class PerAgent:
     """Any problem, one :class:`LocalObjective` call per agent; agent i owns
     the dim_x entries of the stacked decisions after those of agents < i.
 
-    Every method checks the shapes the agents' callables return;
-    ``theta`` and ``drive`` write each agent's row or slice into one array
-    per call. ``affine`` holds when every agent declares ``quadratic``:
-    each agent's callables read only its own entries, so the closed loop
-    is then affine agent by agent."""
+    Both evaluators provide ``aggregate`` (sigma), ``cost`` and ``gradient``
+    of the global cost, ``theta`` (the (N, 2m) estimator inputs; (K, N, 2m)
+    for K samples stacked on a leading axis) and ``drive`` (stacked
+    grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2). Every method checks
+    the shapes the agents' callables return; ``theta`` and ``drive`` write
+    each agent's row or slice into one array per call. ``affine`` holds when
+    every agent declares ``quadratic``: each agent's callables read only its
+    own entries, so the closed loop is then affine agent by agent.
+    ``gathered`` holds each agent's indices into x, padded to the largest
+    ``dim_x`` with the index one past x."""
 
     def __init__(self, agents: tuple[LocalObjective, ...], m: int) -> None:
         self.agents = agents
@@ -217,6 +170,9 @@ class PerAgent:
             (i, obj, sl, (obj.dim_x,), (m, obj.dim_x))
             for i, (obj, sl) in enumerate(zip(agents, self.slices))
         ]
+        self.gathered = np.full((len(agents), max(obj.dim_x for obj in agents)), offs[-1])
+        for row, sl in zip(self.gathered, self.slices):
+            row[: sl.stop - sl.start] = range(sl.start, sl.stop)
 
     def blocks(self, x: Vector) -> list[Vector]:
         return [x[sl] for sl in self.slices]
@@ -234,18 +190,16 @@ class PerAgent:
         return float(sum(obj.cost(x_i, s) for obj, x_i in zip(self.agents, self.blocks(x))))
 
     def gradient(self, x: Vector) -> Vector:
+        # block i is drive_i at eta_i1 = s and eta_i2 = mean_j grad_sigma f_j(x_j, s)
         s = self.aggregate(x)
         total_gs = np.zeros(self.m)
         for i, obj, sl, _, _ in self.layout:
             value = obj.grad_sigma(x[sl], s)
             _shape_error(i, ("grad_sigma", value, total_gs.shape))
             total_gs += value
-        out = np.empty(x.size)
-        for i, obj, sl, grad_shape, jac_shape in self.layout:
-            grad, jac = obj.grad_x(x[sl], s), obj.jac_phi(x[sl])
-            _shape_error(i, ("grad_x", grad, grad_shape), ("jac_phi", jac, jac_shape))
-            out[sl] = grad + jac.T @ total_gs / len(self.agents)
-        return out
+        shape = (len(self.agents), self.m)
+        etas = np.broadcast_to(s, shape), np.broadcast_to(total_gs / len(self.agents), shape)
+        return self.drive(x, *etas)
 
     def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
@@ -268,14 +222,102 @@ class PerAgent:
         return out
 
 
+def _affine(coef: np.ndarray, offset: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each agent's rows ``coef[i] @ z[..., i, :] + offset[i]``; einsum
+    beats a stacked matmul of these small blocks at large N."""
+    return np.einsum("nij,...nj->...ni", coef, z) + offset
+
+
+class Quadratic(PerAgent):
+    """Agents that all declare ``quadratic``, as one affine model probed
+    once from the :class:`PerAgent` loops; only ``cost`` calls them after.
+
+    Agent i's local coordinates are its decisions, padded as ``gathered``
+    pads them, then eta_i1 and eta_i2; its rows are its ``drive`` entries,
+    then its ``theta`` row. Each coordinate is probed for all agents at
+    once, by a power of two far above the offsets, so the coefficients keep
+    every bit, and ``jac_phi`` stays apart from phi's slope. The model is
+    checked against the loops at one irregular point of both signs: an
+    agent whose rows miss by more than rounding raises ``ValueError``
+    naming it and "affine". The global gradient is drive's decision blocks
+    plus a rank-2m term through (s, mean_j grad_sigma f_j(x_j, s)).
+    """
+
+    def __init__(self, agents: tuple[LocalObjective, ...], m: int) -> None:
+        super().__init__(agents, m)
+        dim, width = self.slices[-1].stop, self.gathered.shape[1]
+        self.scattered = np.flatnonzero(self.gathered.ravel() < dim)
+
+        def loops(z: np.ndarray) -> np.ndarray:
+            padded = np.zeros(dim + 1)
+            padded[self.gathered] = z[:, :width]
+            x, eta1 = padded[:dim].copy(), z[:, width : width + m]
+            padded[:dim] = PerAgent.drive(self, x, eta1, z[:, width + m :])
+            padded[dim] = 0.0  # the pads' rows are zero
+            return np.hstack([padded[self.gathered], PerAgent.theta(self, x, eta1)])
+
+        z = np.zeros((len(agents), width + 2 * m))
+        offset = loops(z)
+        scale = 2.0 ** (math.frexp(max(1.0, np.abs(offset).max()))[1] + 80)
+        coef = np.empty((*z.shape, z.shape[1]))
+        for c in range(z.shape[1]):
+            z[:, c] = scale
+            coef[..., c] = (loops(z) - offset) / scale
+            z[:, c] = 0.0
+        # irregular entries of both signs, from a ufunc the run calls anyway
+        z = np.log(np.arange(2.0, 2.0 + z.size)).reshape(z.shape) - 2.0
+        # rounding moves each row by a few 2^-53 of the sum of its terms
+        tol = 2.0**-40 * _affine(np.abs(coef), np.abs(offset), np.abs(z))
+        wrong = ~(np.abs(_affine(coef, offset, z) - loops(z)) <= tol).all(axis=1)
+        if wrong.any():
+            raise ValueError(
+                f"agent {wrong.argmax()} declares quadratic, but its callables are not "
+                "affine in (x_i, s): the model probed from them misses them at a test point"
+            )
+        self.drive_coef, self.drive0 = coef[:, :width], offset[:, :width]
+        self.theta_coef, self.theta0 = coef[:, width:, : width + m], offset[:, width:]
+        # (s, mean_j grad_sigma f_j(x_j, s)) = pair @ x + pair0; phi reads no eta
+        slopes = self.theta_coef[..., :width].swapaxes(0, 1).reshape(2 * m, -1)
+        pair = slopes[:, self.scattered] / len(agents)
+        pair0 = self.theta0.sum(axis=0) / len(agents)
+        reads_s = self.theta_coef[:, m:, width:].sum(axis=0) / len(agents)
+        pair[m:] += reads_s @ pair[:m]
+        pair0[m:] += reads_s @ pair0[:m]
+        spread = coef[:, :width, width:].reshape(-1, 2 * m)[self.scattered]
+        self.grad_blocks, self.pair, self.pair0 = coef[:, :width, :width], pair, pair0
+        self.spread, self.grad0 = spread, self.drive0.ravel()[self.scattered] + spread @ pair0
+
+    def _gather(self, x: Vector) -> np.ndarray:
+        """Each agent's decisions, padded with zeros as ``gathered`` pads them."""
+        padded = np.zeros((*x.shape[:-1], x.shape[-1] + 1))
+        padded[..., :-1] = x
+        return padded.take(self.gathered, axis=-1)
+
+    def aggregate(self, x: Vector) -> Vector:
+        return self.pair[: self.m] @ x + self.pair0[: self.m]
+
+    def gradient(self, x: Vector) -> Vector:
+        rows = np.einsum("nij,nj->ni", self.grad_blocks, self._gather(x))
+        return rows.ravel().take(self.scattered) + self.spread @ (self.pair @ x) + self.grad0
+
+    def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
+        local = np.concatenate([self._gather(x), eta1], axis=-1)
+        return _affine(self.theta_coef, self.theta0, local)
+
+    def drive(self, x: Vector, eta1: np.ndarray, eta2: np.ndarray) -> Vector:
+        local = np.concatenate([self._gather(x), eta1, eta2], axis=-1)
+        rows = _affine(self.drive_coef, self.drive0, local)
+        return rows.reshape(*rows.shape[:-2], -1).take(self.scattered, axis=-1)
+
+
 @dataclass(frozen=True)
 class AggregativeProblem:
     """N agents, a shared aggregation dimension m, and optional metadata.
 
-    ``der_params`` is set by the dispatch factories; :attr:`network` reads
-    it to choose vectorized evaluation of the whole network over the
-    per-agent loop, and :attr:`rate_metadata` derives the rate constants
-    from it.
+    :attr:`network` evaluates all agents at once: as one affine model when
+    every agent declares ``quadratic``, else one agent at a time.
+    ``der_params`` is set by the dispatch factories as a record of their
+    coefficients; no evaluation reads it.
     """
 
     agents: tuple[LocalObjective, ...]
@@ -299,12 +341,12 @@ class AggregativeProblem:
     @cached_property
     def rate_metadata(self) -> tuple[float, float] | None:
         """The pair (kappa, lipschitz) from the extreme Hessian eigenvalues
-        of a dispatch instance; None for other problems, or when the
-        Hessian is not positive definite. Reporting metadata only: it never
-        steers the dynamics."""
-        if self.der_params is None:
+        of a problem whose agents all declare ``quadratic``; None for other
+        problems, or when the Hessian is not positive definite. Reporting
+        metadata only: it never steers the dynamics."""
+        if not self.network.affine:
             return None
-        eigs = np.linalg.eigvalsh(quadratic_hessian(self.der_params))
+        eigs = np.linalg.eigvalsh(quadratic_hessian(self))
         lo, hi = float(eigs[0]), float(eigs[-1])
         if lo <= 0.0:
             return None
@@ -313,11 +355,10 @@ class AggregativeProblem:
         return (1.0 / lo**2, hi)
 
     @cached_property
-    def network(self) -> DispatchFamily | PerAgent:
-        """Evaluator of all agents at once, chosen from the problem itself."""
-        if self.der_params is not None:
-            return DispatchFamily(self.der_params)
-        return PerAgent(self.agents, self.m)
+    def network(self) -> PerAgent:
+        """Evaluator of all agents at once, chosen from their declarations."""
+        declared = all(obj.quadratic for obj in self.agents)
+        return (Quadratic if declared else PerAgent)(self.agents, self.m)
 
 
 def _check_dim(problem: AggregativeProblem, x: Vector) -> Vector:
@@ -346,11 +387,16 @@ def global_gradient(problem: AggregativeProblem, x: Vector) -> Vector:
     return problem.network.gradient(_check_dim(problem, x))
 
 
-def quadratic_hessian(params: DerParameters) -> np.ndarray:
-    """Exact global-cost Hessian of a dispatch instance."""
-    a = np.array(params.a)
-    n = params.n_units
-    return 2.0 * np.diag(a) + (2.0 * params.price_slope / n) * np.ones((n, n))
+def quadratic_hessian(problem: AggregativeProblem) -> np.ndarray:
+    """Global-cost Hessian of a quadratic instance.
+
+    Its gradient is affine, so probing it at the basis vectors recovers the
+    Hessian to rounding: H[:, j] = grad(e_j) - grad(0), symmetrized. For
+    another instance this is a difference quotient, not its Hessian.
+    """
+    g0 = global_gradient(problem, np.zeros(problem.dim))
+    hess = np.column_stack([global_gradient(problem, e) - g0 for e in np.eye(problem.dim)])
+    return 0.5 * (hess + hess.T)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -384,7 +430,7 @@ def from_der_parameters(params: DerParameters) -> AggregativeProblem:
     c0, c1 = params.price_intercept, params.price_slope
     agents = tuple(
         _der_agent(params.a[i], params.b[i], params.d[i], c0, c1)
-        for i in range(params.n_units)
+        for i in range(len(params.a))
     )
     return AggregativeProblem(agents=agents, m=1, der_params=params)
 
@@ -429,7 +475,8 @@ def with_frozen_decisions(problem: AggregativeProblem) -> AggregativeProblem:
     the gradient/cost consistency of real instances. Each agent's zero
     gradient and zero Jacobian are one read-only array, returned every call.
     Zeros are affine, so each agent keeps its ``quadratic`` declaration:
-    frozen dispatch agents run on the engine's step map.
+    frozen dispatch agents form a :class:`Quadratic` network, which keeps
+    the zero Jacobian apart from phi's unit slope.
     """
 
     def freeze(obj: LocalObjective) -> LocalObjective:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ def fd_jacobian(f, x, h=1e-5):
     return np.column_stack(cols)
 
 
+def undeclared(problem):
+    """The per-agent form of ``problem`` with every agent's ``quadratic``
+    declaration withdrawn: a :class:`aggopt.problems.PerAgent` network,
+    which calls the local objectives and advances one ``rk4_step`` per grid
+    step."""
+    agents = tuple(dataclasses.replace(obj, quadratic=False) for obj in problem.agents)
+    return AggregativeProblem(agents=agents, m=problem.m)
+
+
 def rel_err(value, reference):
     reference = np.asarray(reference, dtype=float)
     scale = max(1.0, float(np.linalg.norm(reference)))
@@ -79,4 +90,16 @@ def vector3():
     """The vector-valued problem above (dim_x = 1, 2, 2 and m = 2), declared
     quadratic, so it runs on the engine's step map."""
     agents = tuple(map(_vector_agent, VECTOR_A, VECTOR_Q, VECTOR_LIN))
+    return AggregativeProblem(agents=agents, m=2)
+
+
+@pytest.fixture(scope="session")
+def vector112():
+    """A declared network of the same form with dim_x = 1, 1, 2 (m = 2), so
+    two agents are padded: agent 1 replaces vector3's agent 1."""
+    agents = (
+        _vector_agent(VECTOR_A[0], VECTOR_Q[0], VECTOR_LIN[0]),
+        _vector_agent(np.array([[0.4], [-1.0]]), np.array([[1.0]]), np.array([2.0])),
+        _vector_agent(VECTOR_A[2], VECTOR_Q[2], VECTOR_LIN[2]),
+    )
     return AggregativeProblem(agents=agents, m=2)

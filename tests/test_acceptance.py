@@ -89,7 +89,7 @@ def dispatch15():
     # horizon sized from the slowest Hessian mode so the slow subsystem can
     # actually reach the 1e-3 ball; starting from zero output the initial
     # relative error is exactly 1
-    eigs = np.linalg.eigvalsh(quadratic_hessian(problem.der_params))
+    eigs = np.linalg.eigvalsh(quadratic_hessian(problem))
     t_end = float(np.ceil(np.log(1.0 / 1e-3) / eigs[0] * 1.4))
     cfg = SimConfig(
         problem=problem, graph=graph, delta=0.1, h=0.005, t_end=t_end,
@@ -106,7 +106,7 @@ def test_criterion_1_oracle_equivalence(der4, der4_x_star):
         n = 2 + seed % 5
         problem = make_dispatch_instance(n, seed)
         x_star = solve_kkt_quadratic(problem)
-        eigs = np.linalg.eigvalsh(quadratic_hessian(problem.der_params))
+        eigs = np.linalg.eigvalsh(quadratic_hessian(problem))
         flow = centralized_flow(
             problem, np.zeros(n), h=0.5 / eigs[-1],
             t_end=float(np.log(np.linalg.norm(x_star) * 1e9) / eigs[0]), stride=1000,

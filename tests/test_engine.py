@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import VECTOR_A, VECTOR_LIN, VECTOR_P, VECTOR_Q
+from conftest import VECTOR_A, VECTOR_LIN, VECTOR_P, VECTOR_Q, undeclared
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
@@ -45,7 +45,8 @@ from aggopt.integrate import ensure_finite, rk4_step
 from aggopt.problems import (
     AggregativeProblem,
     DerParameters,
-    DispatchFamily,
+    PerAgent,
+    Quadratic,
     from_der_parameters,
 )
 from aggopt.triggers import DUE_SLACK, TriggerRule
@@ -75,11 +76,14 @@ def vector_config(vector3, **overrides):
     return SimConfig(**base)
 
 
-def undeclared(problem):
-    """The per-agent form of ``problem`` with every agent's ``quadratic``
-    declaration withdrawn: it advances one ``rk4_step`` per grid step."""
-    agents = tuple(replace(obj, quadratic=False) for obj in problem.agents)
-    return AggregativeProblem(agents=agents, m=problem.m)
+class Looped(AggregativeProblem):
+    """Evaluated by the :class:`PerAgent` loops even where every agent
+    declares ``quadratic``: such a network is affine, so it runs on the step
+    map, but no :class:`Quadratic` model is built or checked."""
+
+    @property
+    def network(self):
+        return PerAgent(self.agents, self.m)
 
 
 def rhs_parts(problem, lap, delta, x, eta, w, eta_hat, w_hat):
@@ -696,28 +700,31 @@ def test_closed_loop_step_matches_rk4_of_rhs(case, der4, vector3):
 
 def test_probed_coefficients_keep_every_bit():
     # the probes' power-of-two scale lets the offsets drop out, so the blocks
-    # are the dispatch family's own coefficients, as closed_loop_rhs rounds them
+    # are the dispatch coefficients themselves, as closed_loop_rhs rounds them
     problem, delta, n = make_dispatch_instance(15, 1), 0.1, 15
-    net = problem.network
+    params = problem.der_params
     flat, blocks = _probed_blocks(problem, delta)
     # agent i's local coordinates: x_i, eta_i (2 entries), w_i (2 entries)
     assert flat.tolist() == [[i, n + 2 * i, n + 2 * i + 1, 3 * n + 2 * i, 3 * n + 2 * i + 1]
                              for i in range(n)]
     expected = np.zeros((n, 5, 5))
     for i in range(n):
-        expected[i, 0, :3] = -net.two_a[i], -net.c1, -1.0
+        expected[i, 0, :3] = -2.0 * params.a[i], -params.price_slope, -1.0
         expected[i, 1, :2] = 1.0 / delta, -1.0 / delta
-        expected[i, 2, [0, 2]] = net.c1 / delta, -1.0 / delta
+        expected[i, 2, [0, 2]] = params.price_slope / delta, -1.0 / delta
     assert np.array_equal(blocks, expected)
 
 
-def test_probed_blocks_of_declared_agents_equal_dispatch_blocks(der4):
-    # the dispatch agents declare themselves quadratic, so their per-agent
-    # form probes the dispatch family's blocks, bit for bit
-    for problem in (der4, make_dispatch_instance(15, 1)):
-        declared = AggregativeProblem(agents=problem.agents, m=problem.m)
-        assert declared.network.affine
-        for got, want in zip(_probed_blocks(declared, 0.1), _probed_blocks(problem, 0.1)):
+def test_probed_blocks_of_declared_agents_equal_dispatch_blocks(der4, vector3, vector112):
+    # the Quadratic model's coefficients keep every bit, so the closed loop
+    # probed through it has the blocks probed through the per-agent loops
+    problems = (
+        der4, make_dispatch_instance(15, 1), vector3, vector112, with_frozen_decisions(der4)
+    )
+    for problem in problems:
+        assert isinstance(problem.network, Quadratic)
+        loops = undeclared(problem)
+        for got, want in zip(_probed_blocks(problem, 0.1), _probed_blocks(loops, 0.1)):
             assert np.array_equal(got, want)
 
 
@@ -734,12 +741,13 @@ def test_unequal_local_sizes_are_padded(vector3):
 
 
 def test_declared_per_agent_run_equals_dispatch_run(der4, ring4, der4_x_star):
-    # both forms of der4 run on one step map: every result array and event
-    # time is equal, bit for bit
-    declared = AggregativeProblem(agents=der4.agents, m=der4.m)
+    # der4 evaluated by its Quadratic model and by the per-agent loops runs
+    # on one step map: every result array and event time is equal, bit for bit
+    looped = Looped(agents=der4.agents, m=der4.m)
+    assert isinstance(der4.network, Quadratic) and type(looped.network) is PerAgent
     cfg = event_config(der4, ring4, t_end=2.5, output_stride=5)
     fast = run(cfg, x_star=der4_x_star)
-    slow = run(replace(cfg, problem=declared), x_star=der4_x_star)
+    slow = run(replace(cfg, problem=looped), x_star=der4_x_star)
     for name in ("times", "x", "eta", "w", "eta_hat", "w_hat"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
     for name in ("final_x", "decision_error", "consensus_error", "broadcast_counts"):
@@ -786,14 +794,14 @@ def test_per_agent_field_is_closed_loop_rhs(der4, ring4):
     assert np.array_equal(got, exact)
 
 
-class Curved(DispatchFamily):
+class Curved(Quadratic):
     """Declares itself affine, but its drive is quadratic in x."""
 
     def drive(self, x, eta1, eta2):
         return super().drive(x, eta1, eta2) + 1e-3 * x**2
 
 
-class CrossAgent(DispatchFamily):
+class CrossAgent(Quadratic):
     """Declares itself affine, but each agent's drive reads every decision."""
 
     def drive(self, x, eta1, eta2):
@@ -810,15 +818,20 @@ def varying_jacobian(obj):
 
 @pytest.mark.parametrize("false_claim", [cubic_gradient, varying_jacobian])
 def test_closed_loop_step_rejects_false_quadratic_declaration(false_claim, der4):
-    # agent 2 still declares itself quadratic; the map probed at zero misses
-    # its curvature, and the one-point check sees the difference
+    # agent 2 still declares itself quadratic; the Quadratic model misses
+    # its curvature at the check point, so the first evaluation names it
     agents = list(der4.agents)
     agents[2] = false_claim(agents[2])
     problem = AggregativeProblem(agents=tuple(agents), m=der4.m)
-    assert problem.network.affine
+    with pytest.raises(ValueError, match=r"^agent 2 declares quadratic, .* not affine"):
+        sigma(problem, X0)
+    # evaluated by the loops, the network builds no model, and the map's
+    # one-point check sees the curvature instead
+    looped = Looped(agents=tuple(agents), m=der4.m)
+    assert looped.network.affine
     for h in (1e-3, 5e-3):
         with pytest.raises(ValueError, match="affine"):
-            closed_loop_step(problem, 0.1, h)
+            closed_loop_step(looped, 0.1, h)
 
 
 @pytest.mark.parametrize("network", [Curved, CrossAgent], ids=["curved", "cross_agent"])
@@ -826,9 +839,9 @@ def test_closed_loop_step_rejects_false_affine_claim(network, der4):
     class Mislabelled(AggregativeProblem):
         @property
         def network(self):
-            return network(self.der_params)
+            return network(self.agents, self.m)
 
-    problem = Mislabelled(der4.agents, der4.m, der_params=der4.der_params)
+    problem = Mislabelled(der4.agents, der4.m)
     assert problem.network.affine
     for h in (1e-3, 5e-3):
         with pytest.raises(ValueError, match="affine"):

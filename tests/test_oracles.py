@@ -154,6 +154,26 @@ def test_fit_decay_rate_trims_and_errors():
         fit_decay_rate(t, e[:-1])
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_fit_decay_rate_matches_polyfit(seed):
+    # the closed-form slope against numpy's least-squares line fit; some
+    # points fall below the floor and are dropped by both
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 400))
+    t = np.sort(rng.uniform(0.0, rng.uniform(0.1, 500.0), n))
+    e = np.exp(rng.normal(-rng.uniform(0.0, 3.0) * t / t[-1] * 10.0, rng.uniform(0.01, 2.0)))
+    e[rng.random(n) < 0.05] = 1e-11
+    usable = e > 1e-10
+    reference = -np.polyfit(t[usable], np.log(e[usable]), 1)[0]
+    assert fit_decay_rate(t, e) == pytest.approx(reference, rel=1e-12, abs=1e-300)
+
+
+def test_fit_decay_rate_rejects_a_single_time():
+    # a vertical line has no least-squares slope
+    with pytest.raises(ValueError, match="one time"):
+        fit_decay_rate(np.full(12, 3.0), np.exp(-np.arange(12.0)))
+
+
 def _fitted_rate_and_bound(problem, x0):
     x_star = solve_kkt_quadratic(problem)
     traj = centralized_flow(problem, x0, h=1e-3, t_end=60.0, stride=10)
@@ -191,7 +211,7 @@ def test_flow_endpoint_matches_kkt_dispatch(seed):
     n = 2 + seed
     problem = make_dispatch_instance(n, seed)
     x_star = solve_kkt_quadratic(problem)
-    eigs = np.linalg.eigvalsh(quadratic_hessian(problem.der_params))
+    eigs = np.linalg.eigvalsh(quadratic_hessian(problem))
     h = 0.5 / eigs[-1]
     t_end = float(np.log(np.linalg.norm(x_star) * 1e9) / eigs[0])
     traj = centralized_flow(problem, np.zeros(n), h=h, t_end=t_end, stride=1000)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import fd_gradient, fd_jacobian, rel_err
+from conftest import fd_gradient, fd_jacobian, rel_err, undeclared
 
 from aggopt import (
     AggregativeProblem,
@@ -21,17 +21,13 @@ from aggopt import (
     with_frozen_decisions,
 )
 from aggopt.engine import closed_loop_rhs
-from aggopt.problems import DispatchFamily, PerAgent, theta
+from aggopt.problems import PerAgent, Quadratic, theta
 
 
 def single_unit(a=1.0, b=0.0, d=0.0):
     return from_der_parameters(
         DerParameters(a=(a,), b=(b,), d=(d,), price_intercept=200.0, price_slope=0.1)
     )
-
-
-def strip_fast_path(problem):
-    return AggregativeProblem(agents=problem.agents, m=problem.m)
 
 
 def test_sigma_der4_initial_point(der4):
@@ -137,7 +133,7 @@ def test_dispatch_single_agent_gradient():
 @pytest.mark.parametrize("seed", range(20))
 def test_quadratic_hessian_positive_definite(seed):
     p = make_dispatch_instance(2 + seed % 7, seed)
-    hess = quadratic_hessian(p.der_params)
+    hess = quadratic_hessian(p)
     a = np.array(p.der_params.a)
     n = len(a)
     assert np.allclose(hess, 2.0 * np.diag(a) + 0.2 * np.ones((n, n)), atol=1e-12)
@@ -145,7 +141,7 @@ def test_quadratic_hessian_positive_definite(seed):
 
 
 def test_rate_metadata_from_hessian_eigenvalues(der4):
-    eigs = np.linalg.eigvalsh(quadratic_hessian(der4.der_params))
+    eigs = np.linalg.eigvalsh(quadratic_hessian(der4))
     kappa, lipschitz = der4.rate_metadata
     assert kappa == pytest.approx(1.0 / eigs[0] ** 2, rel=1e-12)
     assert lipschitz == pytest.approx(eigs[-1], rel=1e-12)
@@ -155,7 +151,8 @@ def test_rate_metadata_from_hessian_eigenvalues(der4):
     "problem", [make_der_instance(), make_dispatch_instance(6, 2)], ids=["der4", "dispatch6"]
 )
 def test_vectorized_path_matches_per_agent_path(problem):
-    generic = strip_fast_path(problem)
+    generic = undeclared(problem)
+    assert isinstance(problem.network, Quadratic) and type(generic.network) is PerAgent
     rng = np.random.default_rng(11)
     for _ in range(10):
         x = rng.uniform(-30, 30, problem.dim)
@@ -164,12 +161,35 @@ def test_vectorized_path_matches_per_agent_path(problem):
         assert np.allclose(global_gradient(problem, x), global_gradient(generic, x), atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [1, 4, 15])
-def test_dispatch_family_matches_per_agent(n):
-    problem = make_dispatch_instance(n, 3)
-    fast, reference = problem.network, strip_fast_path(problem).network
-    assert isinstance(fast, DispatchFamily) and isinstance(reference, PerAgent)
-    rng = np.random.default_rng(n)
+def reading_s(problem):
+    """``problem`` with agent 2 paying 0.15 |s|^2 more, so that its
+    grad_sigma reads s."""
+    obj = problem.agents[2]
+    paying = dataclasses.replace(
+        obj,
+        cost=lambda x, s: obj.cost(x, s) + 0.15 * float(s @ s),
+        grad_sigma=lambda x, s: obj.grad_sigma(x, s) + 0.3 * s,
+    )
+    return AggregativeProblem(problem.agents[:2] + (paying,) + problem.agents[3:], problem.m)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["1", "4", "15", "der4", "vector3", "vector112", "frozen_der4", "der4_reading_s",
+     "vector3_reading_s"],
+)
+def test_dispatch_family_matches_per_agent(case, der4, vector3, vector112):
+    # the Quadratic model of a declared network against the per-agent loops
+    # over the same callables, with the declarations withdrawn
+    problem = {
+        "der4": der4, "vector3": vector3, "vector112": vector112,
+        "frozen_der4": with_frozen_decisions(der4), "der4_reading_s": reading_s(der4),
+        "vector3_reading_s": reading_s(vector3),
+    }.get(case) or make_dispatch_instance(int(case), 3)
+    fast, reference = problem.network, undeclared(problem).network
+    assert isinstance(fast, Quadratic) and type(reference) is PerAgent
+    rng = np.random.default_rng(len(case))
+    n_agents, m, n = problem.n_agents, problem.m, problem.dim
 
     def close(value, expected):
         expected = np.asarray(expected)
@@ -177,18 +197,65 @@ def test_dispatch_family_matches_per_agent(n):
 
     for _ in range(10):
         x = rng.uniform(-30, 30, n)
-        eta1 = rng.uniform(-30, 30, (n, 1))
-        eta2 = rng.uniform(-30, 30, (n, 1))
+        eta1, eta2 = rng.uniform(-30, 30, (2, n_agents, m))
         assert close(fast.aggregate(x), reference.aggregate(x))
         assert close(fast.cost(x), reference.cost(x))
         assert close(fast.gradient(x), reference.gradient(x))
         assert close(fast.theta(x, eta1), reference.theta(x, eta1))
         assert close(fast.drive(x, eta1, eta2), reference.drive(x, eta1, eta2))
+    xs = rng.uniform(-30, 30, (3, n))
+    eta1s = rng.uniform(-30, 30, (3, n_agents, m))
+    assert close(fast.theta(xs, eta1s), reference.theta(xs, eta1s))
+
+
+def counted(problem, calls):
+    """``problem`` with every callable of every agent recording its name in
+    ``calls`` before it runs."""
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    names = ("cost", "grad_x", "grad_sigma", "phi", "jac_phi")
+    agents = tuple(
+        dataclasses.replace(obj, **{name: spy(name, getattr(obj, name)) for name in names})
+        for obj in problem.agents
+    )
+    return AggregativeProblem(agents=agents, m=problem.m)
+
+
+@pytest.mark.parametrize("case", ["dispatch200", "vector3", "vector112", "frozen_der4"])
+def test_declared_network_calls_no_callable_once_built(case, der4, vector3, vector112):
+    # after the Quadratic model is built, only cost calls the agents
+    base = {
+        "vector3": vector3, "vector112": vector112, "frozen_der4": with_frozen_decisions(der4)
+    }.get(case)
+    calls = []
+    problem = counted(make_dispatch_instance(200, 1) if base is None else base, calls)
+    net = problem.network
+    assert isinstance(net, Quadratic) and {"grad_x", "grad_sigma", "phi", "jac_phi"} <= set(calls)
+    calls.clear()
+    rng = np.random.default_rng(3)
+    n_agents, m = problem.n_agents, problem.m
+    x = rng.uniform(-30, 30, problem.dim)
+    eta1, eta2 = rng.uniform(-30, 30, (2, n_agents, m))
+    net.drive(x, eta1, eta2)
+    net.theta(x, eta1)
+    net.theta(rng.uniform(-30, 30, (4, problem.dim)), rng.uniform(-30, 30, (4, n_agents, m)))
+    net.aggregate(x)
+    net.gradient(x)
+    quadratic_hessian(problem)
+    assert calls == []
+    net.cost(x)
+    assert set(calls) == {"cost"}
 
 
 def stacking_reference(net, x, eta1, eta2):
     """drive and theta of a PerAgent network, built per agent and stacked."""
-    xs = net.blocks(x)
+    xs = [x[sl] for sl in net.slices]
     drive = np.concatenate([
         obj.grad_x(x_i, eta1[i]) + obj.jac_phi(x_i).T @ eta2[i]
         for i, (obj, x_i) in enumerate(zip(net.agents, xs))
@@ -203,9 +270,9 @@ def stacking_reference(net, x, eta1, eta2):
 @pytest.mark.parametrize("name", ["der4", "vector3", "frozen_der4"])
 def test_per_agent_rows_match_stacking_reference(name, request):
     base = request.getfixturevalue("vector3" if name == "vector3" else "der4")
-    problem = with_frozen_decisions(base) if name == "frozen_der4" else strip_fast_path(base)
+    problem = undeclared(with_frozen_decisions(base) if name == "frozen_der4" else base)
     net = problem.network
-    assert isinstance(net, PerAgent)
+    assert type(net) is PerAgent
     rng = np.random.default_rng(17)
     n_agents, m = problem.n_agents, problem.m
     for _ in range(20):
