@@ -12,10 +12,14 @@ loop advances everything, a span of grid steps at a time:
      with the broadcasts held (:func:`closed_loop_step`). The neighbor
      coupling reads broadcasts only, so it is computed once when some agent
      broadcasts and held in between. For affine networks (agents that all
-     declare ``LocalObjective.quadratic``, as the dispatch agents do) each
-     step is a per-agent affine map ``y+ = P y + Q b`` formed once per run,
-     with only ``Q b`` recomputed on broadcast steps; it agrees with RK4 to
-     rounding. Other networks take one RK4 step of the field per state;
+     declare ``LocalObjective.quadratic``, as the dispatch agents do) a step
+     is a per-agent affine map ``y+ = P y + Q b``, formed once per run, with
+     only ``b`` recomputed on broadcast steps; it agrees with RK4 to
+     rounding. The state j steps after its anchor ``y_a`` is
+     ``P^j y_a + S_j b`` (``S_j = sum_{i<j} P^i Q``), so the K states are
+     two batched products from the anchor. The anchor is the state at the
+     last broadcast, or at every ``SPAN_CAP``-th quiet step after it. Other
+     networks take one RK4 step of the field per state;
   2. check the K new states at once: every agent's trigger at their grid
      times (the rule lives in :class:`aggopt.triggers.TriggerRule`), then
      that the states kept are finite
@@ -25,15 +29,22 @@ loop advances everything, a span of grid steps at a time:
      loop resumes from it;
   3. record every ``output_stride``-th grid point among the states kept.
 
-Each state is the one a step-by-step loop, checking after every step,
-computes, bit for bit, so spans change no output. The states before the
-first diverged one are finite, so the first broadcast among them is found
-exactly; if none comes first, the divergence check stops the run at that
-state. A span never runs past a periodic agent's due step; it starts at
-the last gap between broadcasts and doubles while no agent fires, up to
-``SPAN_CAP``. It is one step for networks without a step map (local
-objectives not declared quadratic), whose discarded RK4 steps would cost
-more than the checks they save.
+Each state is the one a step-by-step loop, checking after every step and
+re-anchoring by the same rule, computes, bit for bit: anchors fall at
+broadcasts and every ``SPAN_CAP`` quiet steps, not at span ends, so spans
+change no output. ``P^1 = P`` and ``S_1 = Q`` are used as formed, so a
+state one step from its anchor has the bits of ``P y + Q b``: runs in which
+some agent broadcasts at every step (continuous agents) keep the bits of a
+one-step map, and so does per-agent RK4. ``P^j`` and ``S_j`` take
+``2 SPAN_CAP N d^2`` floats (d: the largest dim_x, plus 4m; 12.8 MB at
+N = 1000, d = 5) and are formed as far as spans reach, after the map's
+check. The states before the first diverged one are finite, so the first
+broadcast among them is found exactly; if none comes first, the divergence
+check stops the run at that state. A span never runs past a periodic
+agent's due step; it starts at the last gap between broadcasts and doubles
+while no agent fires, up to ``SPAN_CAP``. It is one step for networks
+without a step map (local objectives not declared quadratic), whose
+discarded RK4 steps would cost more than the checks they save.
 
 The estimator state, its broadcasts, their neighbor coupling and its
 derivative are (2, N, 2m) blocks (see :mod:`aggopt.consensus`). The
@@ -86,7 +97,8 @@ logger = logging.getLogger(__name__)
 # Most grid steps a span advances with the broadcasts held before the
 # trigger rule and the divergence check look at its states, on the step map;
 # networks without one (local objectives not declared quadratic) advance
-# one step per span.
+# one step per span. The step map re-anchors every SPAN_CAP quiet steps and
+# keeps that many powers of P.
 SPAN_CAP = 32
 
 
@@ -239,10 +251,11 @@ def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarra
 
 def closed_loop_step(
     problem: AggregativeProblem, delta: float, h: float
-) -> Callable[[np.ndarray], Callable[[np.ndarray, int], np.ndarray]]:
-    """``step(coupling)`` returns ``advance(y, k)``: the k states after the
-    flat state y, as (k, size) rows, each one RK4 step of length h of
-    :func:`closed_loop_rhs` after the last with ``coupling`` held.
+) -> Callable[[np.ndarray, np.ndarray], Callable[[int], np.ndarray]]:
+    """``step(coupling, y)`` returns ``advance(k)``: the next k states after
+    the flat state y, as (k, size) rows, each one RK4 step of length h of
+    :func:`closed_loop_rhs` after the last with ``coupling`` held. Each call
+    continues from the last state the one before returned.
 
     For an affine network (``problem.network.affine``: agents that all
     declare ``LocalObjective.quadratic``) RK4 on the per-agent blocks
@@ -251,8 +264,15 @@ def closed_loop_step(
     ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
     ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)`` formed once. ``b`` is
     ``closed_loop_rhs`` at y = 0, which reads the coupling only in the
-    estimator derivative: ``step`` re-evaluates that part alone. ``advance``
-    keeps the k states in the agents' gathered layout and scatters them into
+    estimator derivative: ``step`` re-evaluates that part alone. The state j
+    steps after its anchor ``y_a`` is ``P^j y_a + S_j b``, with
+    ``S_j = sum_{i<j} P^i Q``: ``advance`` takes its rows from the anchor in
+    two batched products. The anchor is y, and every ``SPAN_CAP``-th state
+    after it becomes the next, so each state is the same whatever k the
+    calls take. ``P^1 = P`` and ``S_1 = Q`` are used as formed, so a state
+    one step from its anchor has the bits of one step of the map; the
+    higher powers are formed, once, as far as calls reach. ``advance``
+    keeps the states in the agents' gathered layout and scatters them into
     flat rows once. Padded coordinates gather a zero after the state; their
     rows and columns of ``A_i`` are zero, so they stay zero, and they are
     never scattered.
@@ -265,10 +285,11 @@ def closed_loop_step(
     rhs = partial(closed_loop_rhs, problem, delta)
     if not problem.network.affine:
 
-        def rk4_steps(coupling: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+        def rk4_steps(coupling: np.ndarray, y: np.ndarray) -> Callable[[int], np.ndarray]:
             field = partial(rhs, coupling)
 
-            def advance(y: np.ndarray, k: int) -> np.ndarray:
+            def advance(k: int) -> np.ndarray:
+                nonlocal y
                 rows = np.empty((k, y.size))
                 for r in range(k):
                     y = rows[r] = rk4_step(field, 0.0, y, h)
@@ -282,36 +303,67 @@ def closed_loop_step(
     shape = (2, problem.n_agents, 2 * problem.m)
     size = problem.dim + math.prod(shape)
     zeros = np.zeros(size)
+    n_agents, d = flat.shape
     # gathered position of each flat index; the pads' slot past the state is dropped
     order = np.empty(size + 1, dtype=int)
     order[flat.ravel()] = np.arange(flat.size)
     order = order[:size]
     padded = np.zeros(size + 1)  # a flat state, then the pads' zero
     z = h * a
-    eye = np.eye(flat.shape[1])
+    eye = np.eye(d)
     z2 = z @ z
     z3 = z2 @ z
-    p = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
-    q = h * (eye + z / 2.0 + z2 / 6.0 + z3 / 24.0)
+    # rows (j - 1) d to j d of powers[i] are agent i's P^j, and of sums[i]
+    # its S_j, so that consecutive j are one (j d, d) matrix per agent
+    powers = np.empty((n_agents, SPAN_CAP * d, d))
+    sums = np.empty_like(powers)
+    p, q = powers[:, :d], sums[:, :d]
+    p[:] = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
+    q[:] = h * (eye + z / 2.0 + z2 / 6.0 + z3 / 24.0)
+    formed = 1
+
+    def form(j: int) -> None:
+        """Form the powers and sums up to j."""
+        nonlocal formed
+        for i in range(formed * d, j * d, d):
+            last = powers[:, i - d : i]
+            powers[:, i : i + d] = p @ last
+            sums[:, i : i + d] = sums[:, i - d : i] + last @ q
+        formed = j
 
     # the estimator derivative's other inputs at y = 0 are fixed, and the
     # rest of b does not read the coupling: both are evaluated once
-    b = rhs(np.zeros(shape), 0.0, zeros)
+    b = np.zeros(size + 1)  # b, then the pads' zero
+    b[:size] = rhs(np.zeros(shape), 0.0, zeros)
+    b_block = _split_state(b[:size], shape)[1]
     x, (eta, _) = _split_state(zeros, shape)
     thetas = theta_stack(problem, x, eta[:, : problem.m])
 
-    def step(coupling: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
-        estimator_derivative(eta, thetas, coupling, delta, out=_split_state(b, shape)[1])
-        padded[:size] = b
-        qb = q @ padded.take(flat)[..., None]
+    def step(coupling: np.ndarray, y: np.ndarray) -> Callable[[int], np.ndarray]:
+        estimator_derivative(eta, thetas, coupling, delta, out=b_block)
+        gathered_b = b.take(flat)[..., None]
+        padded[:size] = y
+        anchor = padded.take(flat)[..., None]
+        j = 0  # steps from the anchor
 
-        def advance(y: np.ndarray, k: int) -> np.ndarray:
-            gathered = np.empty((k, *flat.shape, 1))
-            padded[:size] = y
-            g = padded.take(flat)[..., None]
-            for r in range(k):
-                g = gathered[r] = p @ g + qb
-            return gathered.reshape(k, -1).take(order, axis=1)
+        def advance(k: int) -> np.ndarray:
+            nonlocal anchor, j
+            parts = []
+            left = k
+            while left:
+                rows = min(left, SPAN_CAP - j)
+                if j + rows > formed:
+                    form(j + rows)
+                ahead = (
+                    powers[:, j * d : (j + rows) * d] @ anchor
+                    + sums[:, j * d : (j + rows) * d] @ gathered_b
+                )
+                parts.append(ahead.reshape(n_agents, rows, d))
+                left, j = left - rows, j + rows
+                if j == SPAN_CAP:
+                    anchor, j = ahead[:, -d:], 0
+            ahead = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            return ahead.swapaxes(0, 1).reshape(k, -1).take(order, axis=1)
 
         return advance
 
@@ -323,7 +375,7 @@ def closed_loop_step(
     # rounding moves entries by a few 2^-53 of the state and the increment; a
     # wrong map misses by a share of the increment, which shrinks with h
     tol = 2.0**-40 * np.abs(want - state).max() + 2.0**-46 * np.abs(state).max()
-    if not (np.abs(step(coupling)(state, 1)[0] - want).max() <= tol):
+    if not (np.abs(step(coupling, state)(1)[0] - want).max() <= tol):
         raise ValueError(
             f"{type(problem.network).__name__} declares an affine closed loop, "
             "but one RK4 step of closed_loop_rhs disagrees with the step map probed from it"
@@ -372,7 +424,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     rec_y[0], rec_hats[0] = y, hats
     # last set-up action, so the RK4 step of the map's check marks its end
     step = closed_loop_step(problem, delta, h)
-    advance = step(broadcast_coupling(lap, hats))
+    advance = step(broadcast_coupling(lap, hats), y)
     # a span's states past its first broadcast are discarded: costly under
     # per-agent RK4
     cap = SPAN_CAP if problem.network.affine else 1
@@ -380,7 +432,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     span = cap
     while k < n_steps:
         size = min(span, n_steps - k, max(1, rule.due_step(h) - k))
-        rows = advance(y, size)
+        rows = advance(size)
         times = grid[k + 1 : k + size + 1]
         # grid time n_steps ends the run without a trigger check
         checked = min(size, n_steps - 1 - k)
@@ -405,7 +457,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
         span = min(k - broadcasts[-1][0], cap)
         row, mask = fired
         hats[:, mask] = estimators[row][:, mask]
-        advance = step(broadcast_coupling(lap, hats))
+        advance = step(broadcast_coupling(lap, hats), y)
         broadcasts.append((k, mask))
 
     rec_t = grid[::stride].copy()

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import DivergenceError, ensure_finite, rk4_step
-from .problems import AggregativeProblem, global_gradient, quadratic_hessian
+from .problems import AggregativeProblem, global_gradient
 
 __all__ = [
     "CentralizedTrajectory",
@@ -40,13 +40,13 @@ class CentralizedTrajectory:
 def solve_kkt_quadratic(problem: AggregativeProblem) -> np.ndarray:
     """Unique minimizer of a strictly convex quadratic instance.
 
-    The minimizer solves H x = -grad(0) with H from
-    :func:`aggopt.problems.quadratic_hessian`. Raises ValueError when the
-    instance is not strictly convex or not quadratic (stationarity residual
-    check).
+    The minimizer solves H x = -grad(0) with H and grad(0) from the
+    problem's one Hessian probe
+    (:attr:`aggopt.problems.AggregativeProblem.gradient_probe`). Raises
+    ValueError when the instance is not strictly convex or not quadratic
+    (stationarity residual check).
     """
-    hess = quadratic_hessian(problem)
-    g0 = global_gradient(problem, np.zeros(problem.dim))
+    hess, g0 = problem.gradient_probe
     try:
         np.linalg.cholesky(hess)
     except np.linalg.LinAlgError:
@@ -80,8 +80,11 @@ def centralized_flow(
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({problem.dim},)")
 
+    # the stopping test's gradient at x is the next step's first stage
+    grad = global_gradient(problem, x)
+
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        return -global_gradient(problem, state)
+        return -(grad if state is x else global_gradient(problem, state))
 
     n_steps = max(1, int(round(t_end / h)))
     times = [0.0]
@@ -93,7 +96,8 @@ def centralized_flow(
         if (k + 1) % stride == 0:
             times.append((k + 1) * h)
             states.append(x.copy())
-        if np.linalg.norm(global_gradient(problem, x)) <= FLOW_GRAD_TOL:
+        grad = global_gradient(problem, x)
+        if np.linalg.norm(grad) <= FLOW_GRAD_TOL:
             if (k + 1) % stride != 0:
                 times.append((k + 1) * h)
                 states.append(x.copy())

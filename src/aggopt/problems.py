@@ -339,6 +339,15 @@ class AggregativeProblem:
         return sum(obj.dim_x for obj in self.agents)
 
     @cached_property
+    def gradient_probe(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(hessian, g0)``, read-only: the global-cost gradient at 0 and
+        the Hessian :func:`quadratic_hessian` probes from it. The probe costs
+        dim + 1 gradients, so it is taken once per problem."""
+        g0 = global_gradient(self, np.zeros(self.dim))
+        hess = np.column_stack([global_gradient(self, e) - g0 for e in np.eye(self.dim)])
+        return _read_only(0.5 * (hess + hess.T)), _read_only(g0)
+
+    @cached_property
     def rate_metadata(self) -> tuple[float, float] | None:
         """The pair (kappa, lipschitz) from the extreme Hessian eigenvalues
         of a problem whose agents all declare ``quadratic``; None for other
@@ -392,11 +401,11 @@ def quadratic_hessian(problem: AggregativeProblem) -> np.ndarray:
 
     Its gradient is affine, so probing it at the basis vectors recovers the
     Hessian to rounding: H[:, j] = grad(e_j) - grad(0), symmetrized. For
-    another instance this is a difference quotient, not its Hessian.
+    another instance this is a difference quotient, not its Hessian. The
+    probe is kept on the problem (:attr:`AggregativeProblem.gradient_probe`),
+    and the array returned is read-only.
     """
-    g0 = global_gradient(problem, np.zeros(problem.dim))
-    hess = np.column_stack([global_gradient(problem, e) - g0 for e in np.eye(problem.dim)])
-    return 0.5 * (hess + hess.T)
+    return problem.gradient_probe[0]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

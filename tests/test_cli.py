@@ -11,6 +11,7 @@ import aggopt
 from aggopt import cli, lambda_bound, laplacian, random_connected_graph, solve_kkt_quadratic
 from aggopt.cli import main
 from aggopt.config import dump_config, parse_config, to_sim_config
+from aggopt.problems import Quadratic
 
 
 def run_cli(args):
@@ -117,6 +118,23 @@ def test_oracle_subcommand(capsys):
     assert record["rate_bound"] == pytest.approx(
         record["kappa"] / (1 + 2 * record["lipschitz"])
     )
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_der4_commands_probe_the_hessian_once(command, tmp_path, capsys, monkeypatch):
+    # the oracle solve and the rate constants share one probe of dim + 1
+    # gradients; the residual at x* is the sixth
+    calls = []
+    gradient = Quadratic.gradient
+
+    def spy(self, x):
+        calls.append(x)
+        return gradient(self, x)
+
+    monkeypatch.setattr(Quadratic, "gradient", spy)
+    flags = ["--tend", "0.1", "--output", str(tmp_path / "out")] if command == "run" else []
+    assert run_cli([command, "--scenario", "der4", *flags]) == 0
+    assert len(calls) == 6
 
 
 def test_dump_config_roundtrip(capsys):

@@ -40,7 +40,7 @@ from aggopt import (
     with_frozen_decisions,
 )
 from aggopt import engine
-from aggopt.engine import _probed_blocks, _state_entry, closed_loop_step
+from aggopt.engine import SPAN_CAP, _probed_blocks, _state_entry, closed_loop_step
 from aggopt.integrate import ensure_finite, rk4_step
 from aggopt.problems import (
     AggregativeProblem,
@@ -443,23 +443,37 @@ def hand_written_rhs(problem, delta):
 
 
 def rk4_of(rhs_of, h):
-    """``advance_of(coupling)``: one ``rk4_step`` of ``rhs_of(coupling)``."""
-    return lambda coupling: partial(rk4_step, rhs_of(coupling), 0.0, h=h)
+    """``(advance_of, 1)``: ``advance_of(coupling)(y, 1)`` is one
+    ``rk4_step`` of ``rhs_of(coupling)`` from y, which anchors every state."""
+
+    def advance_of(coupling):
+        def advance(anchor, j):
+            assert j == 1
+            return rk4_step(rhs_of(coupling), 0.0, anchor, h)
+
+        return advance
+
+    return advance_of, 1
 
 
 def map_of(problem, delta, h):
-    """``advance_of(coupling)``: one state of the engine's step map."""
+    """``(advance_of, SPAN_CAP)``: ``advance_of(coupling)(anchor, j)`` is the
+    state j steps after the anchor on the engine's step map, the last row of
+    one fresh ``advance``."""
     step = closed_loop_step(problem, delta, h)
-    return lambda coupling: lambda y: step(coupling)(y, 1)[0]
+    return (lambda coupling: lambda anchor, j: step(coupling, anchor)(j)[-1]), SPAN_CAP
 
 
-def reference_run(cfg, advance_of):
-    """The closed loop written out step by step: each step applies
-    ``advance_of(coupling)`` to the state, with the neighbor coupling
-    rebuilt from the current broadcasts in every step, and the trigger rule
-    sees one grid time at a time. Returns the state after every step (rows)
-    and the per-agent event times; a state that fails ``ensure_finite``
-    raises its DivergenceError right after its step."""
+def reference_run(cfg, stepper):
+    """The closed loop written out step by step. ``stepper`` is
+    ``(advance_of, every)``: each step takes the state j steps after its
+    anchor, ``advance_of(coupling)(anchor, j)``, with the neighbor coupling
+    rebuilt from the current broadcasts in every step. The anchor is the
+    state at the last broadcast, or every ``every``-th state after it. The
+    trigger rule sees one grid time at a time. Returns the state after
+    every step (rows) and the per-agent event times; a state that fails
+    ``ensure_finite`` raises its DivergenceError right after its step."""
+    advance_of, every = stepper
     problem, h = cfg.problem, cfg.h
     lap = laplacian(cfg.graph)
     x0 = np.asarray(cfg.x0, dtype=float)
@@ -476,6 +490,7 @@ def reference_run(cfg, advance_of):
     events = [[0.0] for _ in range(problem.n_agents)]
     y = np.concatenate([x0, eta0.ravel(), w0.ravel()])
     states = [y]
+    anchor, j = y, 0
     for k in range(round(cfg.t_end / h)):
         t = k * h
         if k > 0:
@@ -487,7 +502,11 @@ def reference_run(cfg, advance_of):
                 w_hat[mask] = w[mask]
                 for i in np.flatnonzero(mask):
                     events[i].append(t)
-        y = advance_of(broadcast_coupling(lap, np.stack([eta_hat, w_hat])))(y)
+                anchor, j = y, 0
+        j += 1
+        y = advance_of(broadcast_coupling(lap, np.stack([eta_hat, w_hat])))(anchor, j)
+        if j == every:
+            anchor, j = y, 0
         ensure_finite(y[None], np.array([(k + 1) * h]), h, entry, advice)
         states.append(y)
     return np.array(states), events
@@ -503,7 +522,7 @@ def flat_states(result):
     "case",
     [
         "event", "periodic", "continuous", "per_agent", "per_agent_rk4",
-        "vector", "vector_rk4", "dispatch15", "mixed",
+        "vector", "vector_rk4", "dispatch15", "mixed", "quiet",
     ],
 )
 def test_run_matches_reference_loop(case, der4, ring4, der4_x_star, vector3):
@@ -516,10 +535,13 @@ def test_run_matches_reference_loop(case, der4, ring4, der4_x_star, vector3):
     # step of closed_loop_rhs is tested on its own; the _rk4 cases withdraw
     # the declaration and take RK4 steps. dispatch15 fires at almost every
     # grid time and records every third state; mixed holds event and
-    # periodic agents.
+    # periodic agents. On the step map a state is taken from its anchor, so
+    # the reference re-anchors by the same rule. Quiet agents never fire
+    # after t = 0, so their states are anchored only at every SPAN_CAP-th step.
     schemes = {
         "periodic": (Periodic(0.02),) * 4, "continuous": (Continuous(),) * 4,
         "mixed": (EVENT_SCHEMES[0], Periodic(0.02), EVENT_SCHEMES[2], Periodic(0.035)),
+        "quiet": (Event(1e9, 0.1),) * 4,
     }.get(case, EVENT_SCHEMES)
     problem = {
         "per_agent": AggregativeProblem(agents=der4.agents, m=der4.m),
@@ -538,14 +560,65 @@ def test_run_matches_reference_loop(case, der4, ring4, der4_x_star, vector3):
             t_end=2.0, x0=np.zeros(15), schemes=(Event(6.0, 0.15),) * 15, output_stride=3,
         )
     if problem.network.affine:
-        advance_of = map_of(problem, cfg.delta, cfg.h)
+        stepper = map_of(problem, cfg.delta, cfg.h)
     else:
-        advance_of = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
+        stepper = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
     result = run(cfg, x_star=x_star)
-    states, events = reference_run(cfg, advance_of)
+    states, events = reference_run(cfg, stepper)
     assert np.array_equal(flat_states(result), states[:: cfg.output_stride])
     assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
-    assert result.events.total > 2 * problem.n_agents  # broadcasts after t = 0 were exercised
+    if case == "quiet":
+        assert result.events.total == problem.n_agents
+    else:
+        assert result.events.total > 2 * problem.n_agents  # broadcasts after t = 0 were exercised
+
+
+class Recorded(TriggerRule):
+    """The trigger rule, recording the number of grid times of each check."""
+
+    spans: list = []
+
+    def fire(self, times, estimators, hats):
+        self.spans.append(len(times))
+        return super().fire(times, estimators, hats)
+
+
+class OneStep(Recorded):
+    """The trigger rule with every grid step due, so that each span is one
+    step long."""
+
+    spans: list = []
+
+    def due_step(self, h):
+        return 0
+
+
+@pytest.mark.parametrize("case", ["event", "mixed", "quiet", "vector", "dispatch15"])
+def test_span_lengths_change_no_output(case, der4, ring4, vector3):
+    # each state is taken from its anchor, which broadcasts and every
+    # SPAN_CAP-th quiet step set, not the span policy: a run forced to one
+    # step per span gives the same bits
+    schemes = {
+        "mixed": (EVENT_SCHEMES[0], Periodic(0.02), EVENT_SCHEMES[2], Periodic(0.035)),
+        "quiet": (Event(1e9, 0.1),) * 4,
+    }.get(case, EVENT_SCHEMES)
+    cfg = event_config(der4, ring4, schemes=schemes, t_end=1.0, output_stride=3)
+    if case == "vector":
+        cfg = vector_config(vector3, t_end=1.0, output_stride=3)
+    if case == "dispatch15":
+        cfg = SimConfig(
+            problem=make_dispatch_instance(15, 1), graph=random_connected_graph(15, 1),
+            delta=0.1, h=0.005, t_end=2.0, x0=np.zeros(15), schemes=(Event(6.0, 0.15),) * 15,
+        )
+    Recorded.spans, OneStep.spans = [], []
+    with patch.object(engine, "TriggerRule", Recorded):
+        spans = run(cfg, x_star=None)
+    with patch.object(engine, "TriggerRule", OneStep):
+        steps = run(cfg, x_star=None)
+    assert max(Recorded.spans) > 1 and set(OneStep.spans) == {1}
+    for name in ("times", "x", "eta", "w", "eta_hat", "w_hat"):
+        assert np.array_equal(getattr(spans, name), getattr(steps, name)), name
+    assert all(np.array_equal(a, b) for a, b in zip(spans.events.times, steps.events.times))
 
 
 def test_divergence_inside_a_span_matches_reference_loop(monkeypatch):
@@ -633,12 +706,12 @@ def test_run_matches_reference_loop_on_random_cases(form, steps, data):
     problem = cfg.problem
     assert problem.network.affine == (form != "per_agent")
     if problem.network.affine:
-        advance_of = map_of(problem, cfg.delta, cfg.h)
+        stepper = map_of(problem, cfg.delta, cfg.h)
     else:
-        advance_of = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
+        stepper = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
     with patch.object(engine, "TriggerRule", DueBoundRule):
         try:
-            states, events = reference_run(cfg, advance_of)
+            states, events = reference_run(cfg, stepper)
         except DivergenceError as expected:
             with pytest.raises(DivergenceError) as raised:
                 run(cfg, x_star=None)
@@ -694,8 +767,58 @@ def test_closed_loop_step_matches_rk4_of_rhs(case, der4, vector3):
         for _ in range(5):
             y, coupling = random_held_state(problem, lap, rng, scale)
             exact = rk4_step(partial(closed_loop_rhs, problem, 0.1, coupling), 0.0, y, h)
-            got = step(coupling)(y, 1)[0]
+            got = step(coupling, y)(1)[0]
             assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact - y)
+
+
+@pytest.mark.parametrize("case", ["der4", "dispatch15", "dispatch200", "vector3"])
+def test_advance_from_an_anchor_matches_one_step_maps(case, der4, vector3):
+    # the state j steps after the anchor is P^j y + S_j b, two products;
+    # j one-step maps in sequence round otherwise, by far less than the
+    # increment. The SPAN_CAP-th state anchors the next ones, and calls of
+    # any length continue one another
+    problem = {"der4": der4, "vector3": vector3}.get(case)
+    if problem is None:
+        problem = make_dispatch_instance(int(case[8:]), 1)
+    lap = laplacian(ring(problem.n_agents))
+    step = closed_loop_step(problem, 0.1, 1e-3)
+    rng = np.random.default_rng(11)
+    for scale in (1.0, 100.0, 1e4):
+        for _ in range(3):
+            y, coupling = random_held_state(problem, lap, rng, scale)
+            rows = step(coupling, y)(2 * SPAN_CAP + 5)
+            advance = step(coupling, y)
+            calls = [advance(k) for k in (1, 2, SPAN_CAP - 2, 3, SPAN_CAP + 1)]
+            assert np.array_equal(np.vstack(calls), rows)
+            state = y
+            for j in range(SPAN_CAP):
+                state = step(coupling, state)(1)[0]
+                assert np.linalg.norm(rows[j] - state) <= 1e-12 * np.linalg.norm(state - y)
+            assert np.array_equal(rows[SPAN_CAP], step(coupling, rows[SPAN_CAP - 1])(1)[0])
+
+
+@pytest.mark.parametrize("case", ["der4", "dispatch15", "vector3"])
+def test_one_step_from_an_anchor_is_one_step_of_the_map(case, der4, vector3):
+    # P^1 = P and S_1 = Q are used as formed: per agent y+ = P y + Q b,
+    # bit for bit, with P, Q and b as the closed_loop_step docstring spells them
+    problem = {"der4": der4, "vector3": vector3}.get(case) or make_dispatch_instance(15, 1)
+    h, delta = 1e-3, 0.1
+    flat, a = _probed_blocks(problem, delta)
+    z = h * a
+    eye, z2 = np.eye(a.shape[-1]), z @ z
+    z3 = z2 @ z
+    p = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
+    q = h * (eye + z / 2.0 + z2 / 6.0 + z3 / 24.0)
+    step = closed_loop_step(problem, delta, h)
+    lap = laplacian(ring(problem.n_agents))
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e4):
+        y, coupling = random_held_state(problem, lap, rng, scale)
+        b = closed_loop_rhs(problem, delta, coupling, 0.0, np.zeros(y.size))
+        want = np.zeros(y.size + 1)  # the pads' slot last
+        gathered = [np.append(v, 0.0)[flat][..., None] for v in (y, b)]
+        want[flat] = (p @ gathered[0] + q @ gathered[1])[..., 0]
+        assert np.array_equal(step(coupling, y)(1)[0], want[:-1])
 
 
 def test_probed_coefficients_keep_every_bit():
@@ -789,7 +912,7 @@ def test_per_agent_field_is_closed_loop_rhs(der4, ring4):
     generic = undeclared(der4)
     lap = laplacian(ring4)
     y, coupling = random_held_state(generic, lap, np.random.default_rng(3), 10.0)
-    got = closed_loop_step(generic, 0.1, 1e-3)(coupling)(y, 1)[0]
+    got = closed_loop_step(generic, 0.1, 1e-3)(coupling, y)(1)[0]
     exact = rk4_step(partial(closed_loop_rhs, generic, 0.1, coupling), 0.5, y, 1e-3)
     assert np.array_equal(got, exact)
 
@@ -874,7 +997,7 @@ def test_field_conserves_estimator_sums(n_agents, seed, delta, scale):
     expected = (thetas.sum(0) - eta.sum(0)) / delta
     assert np.all(np.abs(eta_dot.sum(0) - expected) <= 1e-12 * magnitude)
     h = delta / 20.0
-    w_next = closed_loop_step(problem, delta, h)(coupling)(y, 1)[0, n + k :].reshape(n_agents, -1)
+    w_next = closed_loop_step(problem, delta, h)(coupling, y)(1)[0, n + k :].reshape(n_agents, -1)
     rounding = 1e-13 * (np.abs(w).sum(0) + h * np.abs(coupling).sum(0).sum(0) / delta)
     assert np.all(np.abs(w_next.sum(0) - w.sum(0)) <= rounding)
 

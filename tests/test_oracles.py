@@ -15,7 +15,25 @@ from aggopt import (
     quadratic_hessian,
     solve_kkt_quadratic,
 )
-from aggopt.problems import AggregativeProblem, LocalObjective
+from aggopt.integrate import rk4_step
+from aggopt.problems import AggregativeProblem, LocalObjective, Quadratic
+
+X0 = np.array([5.0, 6.0, 3.0, 8.0])
+
+
+@pytest.fixture
+def gradient_calls(monkeypatch):
+    """The states at which the global gradient of a declared-quadratic
+    network is evaluated."""
+    calls = []
+    gradient = Quadratic.gradient
+
+    def spy(self, x):
+        calls.append(x)
+        return gradient(self, x)
+
+    monkeypatch.setattr(Quadratic, "gradient", spy)
+    return calls
 
 
 def single_unit():
@@ -115,6 +133,35 @@ def test_centralized_flow_error_monotone(der4, der4_x_star):
     traj = centralized_flow(der4, np.array([5.0, 6.0, 3.0, 8.0]), h=1e-3, t_end=30.0, stride=10)
     errors = np.linalg.norm(traj.x - der4_x_star, axis=1)
     assert np.all(np.diff(errors) <= 1e-12)
+
+
+def test_centralized_flow_steps_are_plain_rk4(der4):
+    # the stopping test's gradient is reused as the next first stage: the
+    # states keep every bit of plain RK4 steps of -grad f
+    states = [X0]
+    for _ in range(200):
+        states.append(rk4_step(lambda t, x: -global_gradient(der4, x), 0.0, states[-1], 1e-3))
+    traj = centralized_flow(der4, X0, h=1e-3, t_end=0.2)
+    assert np.array_equal(traj.x, states)
+
+
+def test_centralized_flow_evaluates_each_gradient_once(der4, gradient_calls):
+    # ten steps: the gradient at x0, three new RK4 stages per step, and the
+    # stopping test at each new state, which is the next step's first stage
+    centralized_flow(der4, X0, h=1e-3, t_end=0.01)
+    assert len(gradient_calls) == 1 + 10 * (3 + 1)
+
+
+def test_hessian_probed_once_per_problem(der4, gradient_calls):
+    # solve_kkt_quadratic and rate_metadata share the probe: the gradient at
+    # 0 and at the four basis vectors, then the residual at x*
+    problem = make_der_instance()
+    solve_kkt_quadratic(problem)
+    problem.rate_metadata
+    assert len(gradient_calls) == 6
+    assert quadratic_hessian(problem) is quadratic_hessian(problem)
+    assert len(gradient_calls) == 6
+    assert np.array_equal(quadratic_hessian(problem), quadratic_hessian(der4))
 
 
 def test_centralized_flow_divergence(der4):
