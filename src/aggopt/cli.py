@@ -3,15 +3,17 @@
 Subcommands: run, oracle, sweep, dump-config. Outputs are plot-ready CSV
 files plus a JSON summary; rendering is left to external tools. Exit
 codes: 0 success, 1 usage/config error, 2 numerical divergence, 3 I/O
-failure.
+failure, 141 standard output closed by its reader (as if killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
+import os
 import re
 import sys
 from dataclasses import replace
@@ -279,17 +281,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if not gc.get_freeze_count():
+        # The start-up heap (numpy and these modules) lives until exit; frozen,
+        # the collector stops re-scanning it, which is most of the exit cost.
+        gc.freeze()
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that closed stdout must fail here, not in the exit flush
+        sys.stdout.flush()
+        return code
     except (_UsageError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the exit flush writes what is still buffered to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

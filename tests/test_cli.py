@@ -283,16 +283,62 @@ def test_topology_size_mismatch_exits_one(tmp_path, capsys, scenario, lines, nod
     assert not (tmp_path / "out").exists()
 
 
-def test_module_entry_point_runs_main():
+def _source_env():
+    """This environment with the tested source tree first on the import path."""
     src = Path(aggopt.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs_main():
     proc = subprocess.run(
         [sys.executable, "-m", "aggopt.cli", "dump-config", "--scenario", "der4"],
-        capture_output=True, text=True, env=env, check=False,
+        capture_output=True, text=True, env=_source_env(), check=False,
     )
     assert proc.returncode == 0, proc.stderr
     assert "scenario = der4" in proc.stdout.splitlines()
+
+
+def test_heap_freeze_happens_once_and_only_in_the_cli():
+    # a fresh interpreter: the test process has already called cli.main
+    script = """
+import gc
+import aggopt
+from aggopt import cli
+from aggopt.config import parse_config, to_sim_config
+
+aggopt.run(to_sim_config(parse_config("scenario = der4\\ntend = 0.1\\n")))
+assert gc.get_freeze_count() == 0, "the library froze the heap"
+assert cli.main(["dump-config", "--scenario", "der4"]) == 0
+frozen = gc.get_freeze_count()
+assert frozen > 0, "cli.main did not freeze the heap"
+assert cli.main(["dump-config", "--scenario", "der4"]) == 0
+assert gc.get_freeze_count() == frozen, "a second cli.main froze again"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_source_env(), check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(buffered):
+    env = _source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aggopt.cli", "oracle", "--scenario", "der4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
