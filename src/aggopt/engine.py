@@ -40,11 +40,12 @@ one-step map, and so does per-agent RK4. ``P^j`` and ``S_j`` take
 N = 1000, d = 5) and are formed as far as spans reach, after the map's
 check. The states before the first diverged one are finite, so the first
 broadcast among them is found exactly; if none comes first, the divergence
-check stops the run at that state. A span never runs past a periodic
-agent's due step; it starts at the last gap between broadcasts and doubles
-while no agent fires, up to ``SPAN_CAP``. It is one step for networks
-without a step map (local objectives not declared quadratic), whose
-discarded RK4 steps would cost more than the checks they save.
+check stops the run at that state. A span ends where some agent fires or
+where the step map re-anchors: the states come only up to the next anchor,
+so a span is at most ``SPAN_CAP`` steps, and one step for networks without
+a step map (local objectives not declared quadratic), where every state is
+its own anchor. Its requested length starts at the last gap between
+broadcasts and doubles while no agent fires.
 
 The estimator state, its broadcasts, their neighbor coupling and its
 derivative are (2, N, 2m) blocks (see :mod:`aggopt.consensus`). The
@@ -94,11 +95,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Most grid steps a span advances with the broadcasts held before the
-# trigger rule and the divergence check look at its states, on the step map;
-# networks without one (local objectives not declared quadratic) advance
-# one step per span. The step map re-anchors every SPAN_CAP quiet steps and
-# keeps that many powers of P.
+# The step map re-anchors every SPAN_CAP quiet steps and keeps that many
+# powers of P; a span ends at the next anchor, so it is at most SPAN_CAP grid
+# steps before the trigger rule and the divergence check look at its states.
 SPAN_CAP = 32
 
 
@@ -252,10 +251,11 @@ def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarra
 def closed_loop_step(
     problem: AggregativeProblem, delta: float, h: float
 ) -> Callable[[np.ndarray, np.ndarray], Callable[[int], np.ndarray]]:
-    """``step(coupling, y)`` returns ``advance(k)``: the next k states after
-    the flat state y, as (k, size) rows, each one RK4 step of length h of
-    :func:`closed_loop_rhs` after the last with ``coupling`` held. Each call
-    continues from the last state the one before returned.
+    """``step(coupling, y)`` returns ``advance(k)``: the next states after
+    the flat state y up to the next anchor, at most k of them, as (rows,
+    size) rows, each one RK4 step of length h of :func:`closed_loop_rhs`
+    after the last with ``coupling`` held. Each call continues from the last
+    state the one before returned.
 
     For an affine network (``problem.network.affine``: agents that all
     declare ``LocalObjective.quadratic``) RK4 on the per-agent blocks
@@ -269,7 +269,7 @@ def closed_loop_step(
     ``S_j = sum_{i<j} P^i Q``: ``advance`` takes its rows from the anchor in
     two batched products. The anchor is y, and every ``SPAN_CAP``-th state
     after it becomes the next, so each state is the same whatever k the
-    calls take. ``P^1 = P`` and ``S_1 = Q`` are used as formed, so a state
+    calls ask for. ``P^1 = P`` and ``S_1 = Q`` are used as formed, so a state
     one step from its anchor has the bits of one step of the map; the
     higher powers are formed, once, as far as calls reach. ``advance``
     keeps the states in the agents' gathered layout and scatters them into
@@ -280,7 +280,8 @@ def closed_loop_step(
     (``ValueError`` naming "affine" if they differ), which catches an
     evaluator that is affine in name only; :class:`aggopt.problems.Quadratic`
     has checked each agent's declaration already. Other networks take that
-    ``rk4_step`` for every state.
+    ``rk4_step`` for every state, each its own anchor, so ``advance``
+    returns one row.
     """
     rhs = partial(closed_loop_rhs, problem, delta)
     if not problem.network.affine:
@@ -290,10 +291,8 @@ def closed_loop_step(
 
             def advance(k: int) -> np.ndarray:
                 nonlocal y
-                rows = np.empty((k, y.size))
-                for r in range(k):
-                    y = rows[r] = rk4_step(field, 0.0, y, h)
-                return rows
+                y = rk4_step(field, 0.0, y, h)
+                return y[None]
 
             return advance
 
@@ -348,22 +347,15 @@ def closed_loop_step(
 
         def advance(k: int) -> np.ndarray:
             nonlocal anchor, j
-            parts = []
-            left = k
-            while left:
-                rows = min(left, SPAN_CAP - j)
-                if j + rows > formed:
-                    form(j + rows)
-                ahead = (
-                    powers[:, j * d : (j + rows) * d] @ anchor
-                    + sums[:, j * d : (j + rows) * d] @ gathered_b
-                )
-                parts.append(ahead.reshape(n_agents, rows, d))
-                left, j = left - rows, j + rows
-                if j == SPAN_CAP:
-                    anchor, j = ahead[:, -d:], 0
-            ahead = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            return ahead.swapaxes(0, 1).reshape(k, -1).take(order, axis=1)
+            k = min(k, SPAN_CAP - j)
+            if j + k > formed:
+                form(j + k)
+            rows = slice(j * d, (j + k) * d)
+            ahead = powers[:, rows] @ anchor + sums[:, rows] @ gathered_b
+            j += k
+            if j == SPAN_CAP:
+                anchor, j = ahead[:, -d:], 0
+            return ahead.reshape(n_agents, k, d).swapaxes(0, 1).reshape(k, -1).take(order, axis=1)
 
         return advance
 
@@ -425,14 +417,11 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     # last set-up action, so the RK4 step of the map's check marks its end
     step = closed_loop_step(problem, delta, h)
     advance = step(broadcast_coupling(lap, hats), y)
-    # a span's states past its first broadcast are discarded: costly under
-    # per-agent RK4
-    cap = SPAN_CAP if problem.network.affine else 1
     k = 0  # grid step reached
-    span = cap
+    span = n_steps
     while k < n_steps:
-        size = min(span, n_steps - k, max(1, rule.due_step(h) - k))
-        rows = advance(size)
+        rows = advance(min(span, n_steps - k))
+        size = len(rows)
         times = grid[k + 1 : k + size + 1]
         # grid time n_steps ends the run without a trigger check
         checked = min(size, n_steps - 1 - k)
@@ -452,9 +441,9 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
         k += kept
         y = rows[kept - 1]
         if fired is None:
-            span = min(2 * size, cap)
+            span = 2 * size
             continue
-        span = min(k - broadcasts[-1][0], cap)
+        span = k - broadcasts[-1][0]
         row, mask = fired
         hats[:, mask] = estimators[row][:, mask]
         advance = step(broadcast_coupling(lap, hats), y)

@@ -101,14 +101,6 @@ class TriggerRule:
         agents. A column of times gives one row per time."""
         return self.beta1 * np.exp(-self.beta2 * t)
 
-    def due_step(self, h: float) -> float:
-        """Index k of the grid time k h at which the next periodic agent
-        falls due (rounding may put it one step off); inf without periodic
-        agents."""
-        if not self.any_periodic:
-            return math.inf
-        return math.ceil((self.next_due.min() - DUE_SLACK) / h)
-
     def fire(
         self, times: np.ndarray, estimators: np.ndarray, hats: np.ndarray
     ) -> tuple[int, np.ndarray] | None:

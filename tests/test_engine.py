@@ -49,7 +49,7 @@ from aggopt.problems import (
     Quadratic,
     from_der_parameters,
 )
-from aggopt.triggers import DUE_SLACK, TriggerRule
+from aggopt.triggers import TriggerRule
 
 X0 = np.array([5.0, 6.0, 3.0, 8.0])
 EVENT_SCHEMES = tuple(
@@ -583,21 +583,23 @@ class Recorded(TriggerRule):
         return super().fire(times, estimators, hats)
 
 
-class OneStep(Recorded):
-    """The trigger rule with every grid step due, so that each span is one
-    step long."""
+def one_row_steps(problem, delta, h):
+    """``closed_loop_step`` whose ``advance`` returns one row per call,
+    whatever length is asked for, so that each span is one step long."""
+    step = closed_loop_step(problem, delta, h)
 
-    spans: list = []
+    def step_one_row(coupling, y):
+        advance = step(coupling, y)
+        return lambda k: advance(1)
 
-    def due_step(self, h):
-        return 0
+    return step_one_row
 
 
 @pytest.mark.parametrize("case", ["event", "mixed", "quiet", "vector", "dispatch15"])
 def test_span_lengths_change_no_output(case, der4, ring4, vector3):
     # each state is taken from its anchor, which broadcasts and every
-    # SPAN_CAP-th quiet step set, not the span policy: a run forced to one
-    # step per span gives the same bits
+    # SPAN_CAP-th quiet step set, not the span policy: a run whose advance
+    # returns one step per call gives the same bits
     schemes = {
         "mixed": (EVENT_SCHEMES[0], Periodic(0.02), EVENT_SCHEMES[2], Periodic(0.035)),
         "quiet": (Event(1e9, 0.1),) * 4,
@@ -610,19 +612,21 @@ def test_span_lengths_change_no_output(case, der4, ring4, vector3):
             problem=make_dispatch_instance(15, 1), graph=random_connected_graph(15, 1),
             delta=0.1, h=0.005, t_end=2.0, x0=np.zeros(15), schemes=(Event(6.0, 0.15),) * 15,
         )
-    Recorded.spans, OneStep.spans = [], []
     with patch.object(engine, "TriggerRule", Recorded):
+        Recorded.spans = []
         spans = run(cfg, x_star=None)
-    with patch.object(engine, "TriggerRule", OneStep):
-        steps = run(cfg, x_star=None)
-    assert max(Recorded.spans) > 1 and set(OneStep.spans) == {1}
+        assert max(Recorded.spans) > 1
+        Recorded.spans = []
+        with patch.object(engine, "closed_loop_step", one_row_steps):
+            steps = run(cfg, x_star=None)
+        assert set(Recorded.spans) == {1}
     for name in ("times", "x", "eta", "w", "eta_hat", "w_hat"):
         assert np.array_equal(getattr(spans, name), getattr(steps, name)), name
     assert all(np.array_equal(a, b) for a, b in zip(spans.events.times, steps.events.times))
 
 
 def test_divergence_inside_a_span_matches_reference_loop(monkeypatch):
-    # periodic(0.05) agents at h = 0.005 bound the spans to ten steps. The
+    # periodic(0.05) agents at h = 0.005 fire every ten steps. The
     # state crosses STATE_LIMIT inside one, after an event agent has fired
     # in it: run() must name the grid time and entry of the first offending
     # state of the trajectory that broadcast, as a check after every step does
@@ -681,15 +685,6 @@ def loop_cases(draw, form, steps):
     )
 
 
-class DueBoundRule(TriggerRule):
-    """The trigger rule, asserting that a span ends at the first periodic
-    due time in it."""
-
-    def fire(self, times, estimators, hats):
-        assert not np.any(times[:-1] >= self.next_due.min() - DUE_SLACK)
-        return super().fire(times, estimators, hats)
-
-
 @pytest.mark.parametrize("form", ["step_map", "declared", "per_agent"])
 @pytest.mark.parametrize(
     "steps", [(0.002, 0.005, 0.01), (0.5,)], ids=["stable", "diverging"]
@@ -698,8 +693,8 @@ class DueBoundRule(TriggerRule):
 @given(data=st.data())
 def test_run_matches_reference_loop_on_random_cases(form, steps, data):
     # run() checks spans of steps at once; the reference checks triggers and
-    # divergence after every step. Spans bounded by due steps, records after
-    # partial spans, broadcasts at a span's last checked row, divergence
+    # divergence after every step. Periodic agents due inside a span, records
+    # after partial spans, broadcasts at a span's last checked row, divergence
     # inside a span after a broadcast and the unchecked last grid time all
     # come up. h = 0.5 = 5 delta is unstable.
     cfg = data.draw(loop_cases(form, steps))
@@ -709,15 +704,14 @@ def test_run_matches_reference_loop_on_random_cases(form, steps, data):
         stepper = map_of(problem, cfg.delta, cfg.h)
     else:
         stepper = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
-    with patch.object(engine, "TriggerRule", DueBoundRule):
-        try:
-            states, events = reference_run(cfg, stepper)
-        except DivergenceError as expected:
-            with pytest.raises(DivergenceError) as raised:
-                run(cfg, x_star=None)
-            assert str(raised.value) == str(expected)
-            return
-        result = run(cfg, x_star=None)
+    try:
+        states, events = reference_run(cfg, stepper)
+    except DivergenceError as expected:
+        with pytest.raises(DivergenceError) as raised:
+            run(cfg, x_star=None)
+        assert str(raised.value) == str(expected)
+        return
+    result = run(cfg, x_star=None)
     assert np.array_equal(result.times, np.arange(states.shape[0])[:: cfg.output_stride] * cfg.h)
     assert np.array_equal(flat_states(result), states[:: cfg.output_stride])
     assert len(result.events.times) == len(events)
@@ -775,8 +769,8 @@ def test_closed_loop_step_matches_rk4_of_rhs(case, der4, vector3):
 def test_advance_from_an_anchor_matches_one_step_maps(case, der4, vector3):
     # the state j steps after the anchor is P^j y + S_j b, two products;
     # j one-step maps in sequence round otherwise, by far less than the
-    # increment. The SPAN_CAP-th state anchors the next ones, and calls of
-    # any length continue one another
+    # increment. A call stops at the next anchor, the SPAN_CAP-th state,
+    # which anchors the next ones, and calls of any length continue one another
     problem = {"der4": der4, "vector3": vector3}.get(case)
     if problem is None:
         problem = make_dispatch_instance(int(case[8:]), 1)
@@ -786,15 +780,20 @@ def test_advance_from_an_anchor_matches_one_step_maps(case, der4, vector3):
     for scale in (1.0, 100.0, 1e4):
         for _ in range(3):
             y, coupling = random_held_state(problem, lap, rng, scale)
-            rows = step(coupling, y)(2 * SPAN_CAP + 5)
             advance = step(coupling, y)
-            calls = [advance(k) for k in (1, 2, SPAN_CAP - 2, 3, SPAN_CAP + 1)]
-            assert np.array_equal(np.vstack(calls), rows)
+            whole = [advance(2 * SPAN_CAP + 5) for _ in range(3)]
+            assert [len(rows) for rows in whole] == [SPAN_CAP] * 3
+            rows = np.vstack(whole)
+            advance = step(coupling, y)
+            calls = [advance(k) for k in (1, 2, SPAN_CAP - 2, 3, SPAN_CAP + 1, 3)]
+            assert [len(c) for c in calls] == [1, 2, SPAN_CAP - 3, 3, SPAN_CAP - 3, 3]
+            assert np.array_equal(np.vstack(calls), rows[: 2 * SPAN_CAP + 3])
             state = y
-            for j in range(SPAN_CAP):
+            for row in rows:
                 state = step(coupling, state)(1)[0]
-                assert np.linalg.norm(rows[j] - state) <= 1e-12 * np.linalg.norm(state - y)
-            assert np.array_equal(rows[SPAN_CAP], step(coupling, rows[SPAN_CAP - 1])(1)[0])
+                assert np.linalg.norm(row - state) <= 1e-12 * np.linalg.norm(state - y)
+            for j in (SPAN_CAP, 2 * SPAN_CAP):
+                assert np.array_equal(rows[j], step(coupling, rows[j - 1])(1)[0])
 
 
 @pytest.mark.parametrize("case", ["der4", "dispatch15", "vector3"])
