@@ -206,15 +206,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         deltas = [float(v) for v in args.deltas.split(",")]
     except ValueError:
         raise _UsageError(f"malformed --deltas value: {args.deltas!r}") from None
-    for delta in deltas:
+    for i, delta in enumerate(deltas):
         _check_positive_finite(delta, "--deltas")
+        if delta in deltas[:i]:
+            raise ValueError(f"--deltas: {delta!r} is given more than once")
     base_dir = Path(sc.output_dir)
     records = []
     for delta in deltas:
         sub = resolve_config({
             **entries,
             "delta": (repr(delta), "--deltas"),
-            "output": (str(base_dir / f"delta_{delta:g}"), "--output"),
+            "output": (str(base_dir / f"delta_{delta!r}"), "--output"),
         })
         summary = run_scenario(sub)
         records.append(
@@ -225,7 +227,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "total_broadcasts": summary["events"]["total"],
             }
         )
-        print(f"delta={delta:g}: relative error {_error_text(summary['relative_error'])}")
+        print(f"delta={delta!r}: relative error {_error_text(summary['relative_error'])}")
     base_dir.mkdir(parents=True, exist_ok=True)
     write_summary(base_dir / "sweep_summary.json", {"runs": records})
     return 0

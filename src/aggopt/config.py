@@ -23,7 +23,7 @@ Recognized keys:
   step             integration step (default delta / 100)
   tend             simulated horizon (default 200)
   x0               initial decisions (default: preset-specific)
-  stride           record every k-th step (default 10)
+  stride           record every k-th step, and the last (default 10)
   output           output directory (default "out")
 """
 

@@ -27,7 +27,8 @@ loop advances everything, a span of grid steps at a time:
      first grid time where any does overwrite their broadcast with that
      state (the error resets); the states after it are discarded, and the
      loop resumes from it;
-  3. record every ``output_stride``-th grid point among the states kept.
+  3. record every ``output_stride``-th grid point among the states kept,
+     and the last grid point, which ends the records also off the stride.
 
 Each state is the one a step-by-step loop, checking after every step and
 re-anchoring by the same rule, computes, bit for bit: anchors fall at
@@ -139,7 +140,7 @@ class SimConfig:
             raise ValueError("x0 must be finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class SimMetrics:
     final_x: np.ndarray
     x_star: np.ndarray | None
@@ -153,7 +154,7 @@ class SimMetrics:
     scheme_warnings: tuple[str, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class SimResult:
     times: np.ndarray        # (K,)
     x: np.ndarray            # (K, n)
@@ -410,7 +411,9 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
 
     y = np.concatenate([x0, hats.ravel()])
 
-    n_records = n_steps // stride + 1
+    # every stride-th grid step, then the last one if it falls off the stride
+    rec_steps = np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
+    n_records = rec_steps.size
     rec_y = np.empty((n_records, y.size))
     rec_hats = np.empty((n_records, *hats.shape))
     rec_y[0], rec_hats[0] = y, hats
@@ -449,7 +452,8 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
         advance = step(broadcast_coupling(lap, hats), y)
         broadcasts.append((k, mask))
 
-    rec_t = grid[::stride].copy()
+    rec_y[-1], rec_hats[-1] = y, hats
+    rec_t = grid[rec_steps]
     rec_x, rec_estimator = rec_y[:, :n], rec_y[:, n:].reshape(rec_hats.shape)
     steps, masks = map(np.array, zip(*broadcasts))
     events = EventLog(times=tuple(grid[steps[mask]] for mask in masks.T))

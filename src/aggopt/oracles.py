@@ -27,7 +27,7 @@ FLOW_GRAD_TOL = 1e-8
 DECAY_FIT_FLOOR = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class CentralizedTrajectory:
     times: np.ndarray  # (K,)
     x: np.ndarray      # (K, n)
@@ -70,7 +70,8 @@ def centralized_flow(
 ) -> CentralizedTrajectory:
     """Integrate x' = -grad f(x) with fixed 4th-order steps.
 
-    Stops early once the gradient norm drops to ``FLOW_GRAD_TOL``. The aggregate
+    Records every ``stride``-th step and the last one. Stops early once the
+    gradient norm drops to ``FLOW_GRAD_TOL``. The aggregate
     entering every agent's gradient is recomputed exactly at each stage, so
     this is the coordinator baseline the distributed runs are compared to.
     """
@@ -98,10 +99,10 @@ def centralized_flow(
             states.append(x.copy())
         grad = global_gradient(problem, x)
         if np.linalg.norm(grad) <= FLOW_GRAD_TOL:
-            if (k + 1) % stride != 0:
-                times.append((k + 1) * h)
-                states.append(x.copy())
             break
+    if (k + 1) % stride != 0:
+        times.append((k + 1) * h)
+        states.append(x.copy())
     return CentralizedTrajectory(times=np.array(times), x=np.array(states))
 
 

@@ -53,7 +53,7 @@ class Event:
 TriggerScheme = Union[Continuous, Periodic, Event]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
     """Per-agent broadcast instants, strictly increasing within each agent."""
 

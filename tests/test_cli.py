@@ -386,6 +386,51 @@ def test_sweep_writes_per_delta_outputs(tmp_path, capsys):
     assert len(sweep["runs"]) == 2
 
 
+def test_sweep_names_each_run_by_its_exact_delta(tmp_path, capsys):
+    # 0.1 and 0.1000001 print alike under :g; each run keeps its own directory
+    out = tmp_path / "sweep"
+    code = run_cli([
+        "sweep", "--scenario", "der4", "--trigger", "continuous",
+        "--tend", "0.05", "--deltas", "0.1,0.1000001", "--output", str(out),
+    ])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["delta=0.1", "delta=0.1000001"]
+    sweep = json.loads((out / "sweep_summary.json").read_text())
+    assert [run["output"] for run in sweep["runs"]] == [
+        str(out / "delta_0.1"), str(out / "delta_0.1000001"),
+    ]
+    for run in sweep["runs"]:
+        summary = json.loads((Path(run["output"]) / "summary.json").read_text())
+        assert f"delta = {run['delta']!r}" in summary["config"]
+
+
+@pytest.mark.parametrize("deltas", ["0.1,0.2,0.1", "0.1,0.10", "0.2,2e-1"])
+def test_sweep_rejects_a_repeated_delta(tmp_path, capsys, monkeypatch, deltas):
+    monkeypatch.setattr(cli, "run", refuse_to_run)
+    out = tmp_path / "sweep"
+    code = run_cli(["sweep", "--scenario", "der4", f"--deltas={deltas}", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--deltas: " in err and "is given more than once" in err
+    assert not out.exists()
+
+
+def test_trajectory_ends_at_the_final_state_off_the_stride(tmp_path, capsys):
+    # 2505 steps at stride 10: the last row is the state at t = 2.505
+    out = tmp_path / "off"
+    code = run_cli([
+        "run", "--scenario", "der4", "--tend", "2.505", "--step", "0.001", "--output", str(out),
+    ])
+    assert code == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 251 + 1
+    last = [float(v) for v in rows[-1].split(",")]
+    assert last[0] == 2505 * 0.001 and float(rows[-2].split(",")[0]) == 2500 * 0.001
+    summary = json.loads((out / "summary.json").read_text())
+    assert last[1:5] == summary["final_decisions"]
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     out = tmp_path / "repeat"
     args = [

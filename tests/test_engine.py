@@ -189,6 +189,34 @@ def test_run_deterministic(der4, ring4, der4_x_star):
     assert all(np.array_equal(s, t) for s, t in zip(a.events.times, b.events.times))
 
 
+@pytest.mark.parametrize("stride", [1, 7, 10, 2000])
+def test_last_record_is_the_final_state(stride, der4, ring4, der4_x_star):
+    # 1001 steps: a stride that does not divide them still records the last
+    # grid state after the stride-th ones, once
+    cfg = event_config(der4, ring4, t_end=5.005, output_stride=stride)
+    result = run(cfg, x_star=der4_x_star)
+    steps = recorded_steps(1001, stride)
+    assert np.array_equal(result.times, steps * cfg.h)
+    assert result.times[-1] == 1001 * cfg.h and np.all(np.diff(result.times) > 0)
+    assert np.array_equal(result.x[-1], result.metrics.final_x)
+    assert len(result.metrics.decision_error) == len(result.metrics.consensus_error) == steps.size
+    every = run(replace(cfg, output_stride=1), x_star=der4_x_star)
+    for name in ("x", "eta", "w", "eta_hat", "w_hat"):
+        assert np.array_equal(getattr(result, name), getattr(every, name)[steps]), name
+
+
+def test_result_records_compare_by_identity(der4, ring4, der4_x_star):
+    # array fields make a generated __eq__ raise; the records compare like
+    # plain objects, and the frozen event log hashes
+    cfg = event_config(der4, ring4, t_end=0.5)
+    a, b = run(cfg, x_star=der4_x_star), run(cfg, x_star=der4_x_star)
+    flow = centralized_flow(der4, X0, h=1e-3, t_end=0.01)
+    for first, second in ((a, b), (a.metrics, b.metrics), (a.events, b.events), (flow, replace(flow))):
+        assert (first == second) is False and (first != second) is True
+        assert (first == first) is True
+    assert len({a.events, b.events}) == 2
+
+
 def test_broadcasts_constant_between_events(der4, ring4, der4_x_star):
     # with stride 1, consecutive recorded hats differ only when the agent
     # fired at the earlier sample's grid time
@@ -512,6 +540,11 @@ def reference_run(cfg, stepper):
     return np.array(states), events
 
 
+def recorded_steps(n_steps, stride):
+    """The grid steps run() records: every stride-th, then the last one."""
+    return np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
+
+
 def flat_states(result):
     """Recorded (x, eta, w) as rows of the flat state."""
     k = len(result.times)
@@ -565,7 +598,8 @@ def test_run_matches_reference_loop(case, der4, ring4, der4_x_star, vector3):
         stepper = rk4_of(hand_written_rhs(problem, cfg.delta), cfg.h)
     result = run(cfg, x_star=x_star)
     states, events = reference_run(cfg, stepper)
-    assert np.array_equal(flat_states(result), states[:: cfg.output_stride])
+    steps = recorded_steps(len(states) - 1, cfg.output_stride)
+    assert np.array_equal(flat_states(result), states[steps])
     assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
     if case == "quiet":
         assert result.events.total == problem.n_agents
@@ -712,8 +746,9 @@ def test_run_matches_reference_loop_on_random_cases(form, steps, data):
         assert str(raised.value) == str(expected)
         return
     result = run(cfg, x_star=None)
-    assert np.array_equal(result.times, np.arange(states.shape[0])[:: cfg.output_stride] * cfg.h)
-    assert np.array_equal(flat_states(result), states[:: cfg.output_stride])
+    steps = recorded_steps(len(states) - 1, cfg.output_stride)
+    assert np.array_equal(result.times, steps * cfg.h)
+    assert np.array_equal(flat_states(result), states[steps])
     assert len(result.events.times) == len(events)
     assert all(np.array_equal(a, b) for a, b in zip(result.events.times, events))
 

@@ -145,6 +145,17 @@ def test_centralized_flow_steps_are_plain_rk4(der4):
     assert np.array_equal(traj.x, states)
 
 
+def test_centralized_flow_records_its_last_step_off_the_stride(der4):
+    # 12 steps at stride 5: the horizon's state ends the records, as an
+    # early stop's does
+    states = [X0]
+    for _ in range(12):
+        states.append(rk4_step(lambda t, x: -global_gradient(der4, x), 0.0, states[-1], 1e-3))
+    traj = centralized_flow(der4, X0, h=1e-3, t_end=0.012, stride=5)
+    assert traj.times.tolist() == [0.0, 5 * 1e-3, 10 * 1e-3, 12 * 1e-3]
+    assert np.array_equal(traj.x, np.array(states)[[0, 5, 10, 12]])
+
+
 def test_centralized_flow_evaluates_each_gradient_once(der4, gradient_calls):
     # ten steps: the gradient at x0, three new RK4 stages per step, and the
     # stopping test at each new state, which is the next step's first stage
