@@ -421,7 +421,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     step = closed_loop_step(problem, delta, h)
     advance = step(broadcast_coupling(lap, hats), y)
     k = 0  # grid step reached
-    span = n_steps
+    span = n_steps  # steps asked of advance, which stops at the next anchor
     while k < n_steps:
         rows = advance(min(span, n_steps - k))
         size = len(rows)
