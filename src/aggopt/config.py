@@ -317,7 +317,12 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
     step = _number(*entries["step"], "step", positive=True) if "step" in entries else delta / 100.0
     t_end = _number(*entries["tend"], "tend", positive=True) if "tend" in entries else 200.0
     stride = _int(*entries["stride"], "stride", positive=True) if "stride" in entries else 10
-    output_dir = entries["output"][0] if "output" in entries else "out"
+    output_dir, where = entries.get("output", ("out", "default"))
+    if "#" in output_dir or [output_dir] != output_dir.strip().splitlines():
+        raise ConfigError(
+            f"{where}: 'output' must be non-empty, without '#', line breaks or leading or "
+            f"trailing whitespace, so that its dumped line re-parses; got {output_dir!r}"
+        )
     if "x0" in entries:
         x0 = _number_list(*entries["x0"], "x0")
         if len(x0) != n_agents:

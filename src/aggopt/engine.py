@@ -11,15 +11,16 @@ loop advances everything, a span of grid steps at a time:
   1. advance (x, eta, w) by K steps of 4th order of :func:`closed_loop_rhs`
      with the broadcasts held (:func:`closed_loop_step`). The neighbor
      coupling reads broadcasts only, so it is computed once when some agent
-     broadcasts and held in between. For affine networks (agents that all
-     declare ``LocalObjective.quadratic``, as the dispatch agents do) a step
-     is a per-agent affine map ``y+ = P y + Q b``, formed once per run, with
-     only ``b`` recomputed on broadcast steps; it agrees with RK4 to
-     rounding. The state j steps after its anchor ``y_a`` is
-     ``P^j y_a + S_j b`` (``S_j = sum_{i<j} P^i Q``), so the K states are
-     two batched products from the anchor. The anchor is the state at the
-     last broadcast, or at every ``SPAN_CAP``-th quiet step after it. Other
-     networks take one RK4 step of the field per state;
+     broadcasts and held in between. For a :class:`aggopt.problems.Quadratic`
+     network (agents that all declare ``LocalObjective.quadratic``, as the
+     dispatch agents do) a step is a per-agent affine map ``y+ = P y + Q b``
+     composed once per run from the model, with only ``b`` recomputed on
+     broadcast steps; it agrees with RK4 to rounding. The state j steps
+     after its anchor ``y_a`` is ``P^j y_a + S_j b``
+     (``S_j = sum_{i<j} P^i Q``), so the K states are two batched products
+     from the anchor. The anchor is the state at the last broadcast, or at
+     every ``SPAN_CAP``-th quiet step after it. Other networks take one RK4
+     step of the field per state;
   2. check the K new states at once: every agent's trigger at their grid
      times (the rule lives in :class:`aggopt.triggers.TriggerRule`), then
      that the states kept are finite
@@ -79,7 +80,7 @@ from .consensus import (
 from .graphs import Graph, is_connected, lambda_bound, laplacian
 from .integrate import DivergenceError, ensure_finite, rk4_step
 from .oracles import fit_decay_rate, solve_kkt_quadratic
-from .problems import AggregativeProblem
+from .problems import AggregativeProblem, Quadratic
 from .triggers import EventLog, Periodic, TriggerRule, TriggerScheme, validate_scheme
 
 __all__ = [
@@ -219,33 +220,27 @@ def closed_loop_rhs(
     return out
 
 
-def _probed_blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Agent i's block ``a[i]`` of ``A`` in the affine closed loop ``A y + b``
-    (coupling held), over the flat indices ``flat[i]`` of its coordinates:
-    its decisions, then its eta and w rows. An agent with fewer decisions
-    than the largest ``dim_x`` is padded after them (``network.gathered``)
-    with the index one past the flat state. Its row of ``a[i]`` is zero,
-    and so is its column, as agent i's rows read only its own entries. One
-    probe per local coordinate, set for all agents at once; the probe is a
-    power of two far above the offsets, so they drop out and the division
-    by it is exact: the coefficients keep every bit."""
-    n_agents, shape = problem.n_agents, (2, problem.n_agents, 2 * problem.m)
+def _blocks(problem: AggregativeProblem, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Agent i's block ``a[i]`` of ``A`` in the closed loop ``A y + b``
+    (coupling held) of a :class:`Quadratic` network, over the flat indices
+    ``flat[i]`` of its decisions, padded as ``gathered`` pads them (a pad is
+    the index one past the state, with a zero row and column), then its eta
+    and w. The decision rows are ``-drive_coef[i]``, the eta rows
+    ``theta_coef[i]`` less the identity on the eta columns, over delta, and
+    the w rows zero."""
+    net, n_agents, m = problem.network, problem.n_agents, problem.m
+    shape = (2, n_agents, 2 * m)
     size = problem.dim + math.prod(shape)
     block = _split_state(np.arange(size), shape)[1]
-    xs = problem.network.gathered
-    xs = np.where(xs < problem.dim, xs, size)
+    xs = np.where(net.gathered < problem.dim, net.gathered, size)
     flat = np.hstack([xs, block.swapaxes(0, 1).reshape(n_agents, -1)])
-    rhs = partial(closed_loop_rhs, problem, delta, np.zeros(shape), 0.0)
-    zeros = np.zeros(size + 1)  # the flat state, then the pads' entry
-    offset = rhs(zeros[:size])
-    scale = 2.0 ** (math.frexp(max(1.0, np.abs(offset).max()))[1] + 80)
-    a = np.empty((n_agents, flat.shape[1], flat.shape[1]))
-    column = zeros.copy()
-    for c, probed in enumerate(flat.T):
-        probe = zeros.copy()
-        probe[probed] = scale
-        column[:size] = (rhs(probe[:size]) - offset) / scale
-        a[:, :, c] = column[flat]
+    width = xs.shape[1]
+    eta = slice(width, width + 2 * m)
+    a = np.zeros((n_agents, flat.shape[1], flat.shape[1]))
+    a[:, :width, : eta.stop] = -net.drive_coef
+    a[:, eta, : width + m] = net.theta_coef
+    a[:, eta, eta] -= np.eye(2 * m)
+    a[:, eta] /= delta
     return flat, a
 
 
@@ -258,14 +253,13 @@ def closed_loop_step(
     after the last with ``coupling`` held. Each call continues from the last
     state the one before returned.
 
-    For an affine network (``problem.network.affine``: agents that all
-    declare ``LocalObjective.quadratic``) RK4 on the per-agent blocks
-    ``A_i`` of :func:`_probed_blocks` is exactly
-    ``y+ = P y + Q b``, with ``Z = h A_i``,
-    ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
+    For a :class:`aggopt.problems.Quadratic` network RK4 on the per-agent
+    blocks ``A_i`` of :func:`_blocks` is exactly ``y+ = P y + Q b``, with
+    ``Z = h A_i``, ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
     ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)`` formed once. ``b`` is
-    ``closed_loop_rhs`` at y = 0, which reads the coupling only in the
-    estimator derivative: ``step`` re-evaluates that part alone. The state j
+    ``closed_loop_rhs`` at y = 0, from the model's offsets; only its
+    estimator derivative reads the coupling, and ``step`` re-evaluates that
+    part alone. The state j
     steps after its anchor ``y_a`` is ``P^j y_a + S_j b``, with
     ``S_j = sum_{i<j} P^i Q``: ``advance`` takes its rows from the anchor in
     two batched products. The anchor is y, and every ``SPAN_CAP``-th state
@@ -279,13 +273,13 @@ def closed_loop_step(
     never scattered.
     The map is checked once against one ``rk4_step`` of ``closed_loop_rhs``
     (``ValueError`` naming "affine" if they differ), which catches an
-    evaluator that is affine in name only; :class:`aggopt.problems.Quadratic`
-    has checked each agent's declaration already. Other networks take that
-    ``rk4_step`` for every state, each its own anchor, so ``advance``
-    returns one row.
+    evaluator that is affine in name only, or a wrong composition; the
+    model has checked each agent's declaration already. Other networks
+    take that ``rk4_step`` for every state, each its own anchor, so
+    ``advance`` returns one row.
     """
     rhs = partial(closed_loop_rhs, problem, delta)
-    if not problem.network.affine:
+    if not isinstance(problem.network, Quadratic):
 
         def rk4_steps(coupling: np.ndarray, y: np.ndarray) -> Callable[[int], np.ndarray]:
             field = partial(rhs, coupling)
@@ -299,10 +293,9 @@ def closed_loop_step(
 
         return rk4_steps
 
-    flat, a = _probed_blocks(problem, delta)
+    flat, a = _blocks(problem, delta)
     shape = (2, problem.n_agents, 2 * problem.m)
     size = problem.dim + math.prod(shape)
-    zeros = np.zeros(size)
     n_agents, d = flat.shape
     # gathered position of each flat index; the pads' slot past the state is dropped
     order = np.empty(size + 1, dtype=int)
@@ -331,16 +324,14 @@ def closed_loop_step(
             sums[:, i : i + d] = sums[:, i - d : i] + last @ q
         formed = j
 
-    # the estimator derivative's other inputs at y = 0 are fixed, and the
-    # rest of b does not read the coupling: both are evaluated once
+    net = problem.network
     b = np.zeros(size + 1)  # b, then the pads' zero
-    b[:size] = rhs(np.zeros(shape), 0.0, zeros)
-    b_block = _split_state(b[:size], shape)[1]
-    x, (eta, _) = _split_state(zeros, shape)
-    thetas = theta_stack(problem, x, eta[:, : problem.m])
+    b_x, b_block = _split_state(b[:size], shape)
+    b_x[:] = -net.drive0.ravel().take(net.scattered)
+    eta0 = np.zeros(shape[1:])
 
     def step(coupling: np.ndarray, y: np.ndarray) -> Callable[[int], np.ndarray]:
-        estimator_derivative(eta, thetas, coupling, delta, out=b_block)
+        estimator_derivative(eta0, net.theta0, coupling, delta, out=b_block)
         gathered_b = b.take(flat)[..., None]
         padded[:size] = y
         anchor = padded.take(flat)[..., None]
@@ -370,8 +361,8 @@ def closed_loop_step(
     tol = 2.0**-40 * np.abs(want - state).max() + 2.0**-46 * np.abs(state).max()
     if not (np.abs(step(coupling, state)(1)[0] - want).max() <= tol):
         raise ValueError(
-            f"{type(problem.network).__name__} declares an affine closed loop, "
-            "but one RK4 step of closed_loop_rhs disagrees with the step map probed from it"
+            f"{type(problem.network).__name__} declares an affine closed loop, but one "
+            "RK4 step of closed_loop_rhs disagrees with the step map composed from its model"
         )
     return step
 

@@ -153,16 +153,11 @@ class PerAgent:
     for K samples stacked on a leading axis) and ``drive`` (stacked
     grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2). Every method checks
     the shapes the agents' callables return; ``theta`` and ``drive`` write
-    each agent's row or slice into one array per call. ``affine`` holds when
-    every agent declares ``quadratic``: each agent's callables read only its
-    own entries, so the closed loop is then affine agent by agent.
-    ``gathered`` holds each agent's indices into x, padded to the largest
-    ``dim_x`` with the index one past x."""
+    each agent's row or slice into one array per call."""
 
     def __init__(self, agents: tuple[LocalObjective, ...], m: int) -> None:
         self.agents = agents
         self.m = m
-        self.affine = all(obj.quadratic for obj in agents)
         offs = np.cumsum([0] + [obj.dim_x for obj in agents])
         self.slices = [slice(int(lo), int(hi)) for lo, hi in zip(offs[:-1], offs[1:])]
         # (agent, objective, its slice, grad_x's shape, jac_phi's shape)
@@ -170,9 +165,6 @@ class PerAgent:
             (i, obj, sl, (obj.dim_x,), (m, obj.dim_x))
             for i, (obj, sl) in enumerate(zip(agents, self.slices))
         ]
-        self.gathered = np.full((len(agents), max(obj.dim_x for obj in agents)), offs[-1])
-        for row, sl in zip(self.gathered, self.slices):
-            row[: sl.stop - sl.start] = range(sl.start, sl.stop)
 
     def blocks(self, x: Vector) -> list[Vector]:
         return [x[sl] for sl in self.slices]
@@ -231,21 +223,29 @@ def _affine(coef: np.ndarray, offset: np.ndarray, z: np.ndarray) -> np.ndarray:
 class Quadratic(PerAgent):
     """Agents that all declare ``quadratic``, as one affine model probed
     once from the :class:`PerAgent` loops; only ``cost`` calls them after.
+    Each agent's callables read only its own entries, so the closed loop is
+    affine agent by agent, and the engine composes its step map from
+    ``drive_coef``, ``theta_coef`` and their offsets ``drive0``, ``theta0``.
 
-    Agent i's local coordinates are its decisions, padded as ``gathered``
-    pads them, then eta_i1 and eta_i2; its rows are its ``drive`` entries,
-    then its ``theta`` row. Each coordinate is probed for all agents at
-    once, by a power of two far above the offsets, so the coefficients keep
-    every bit, and ``jac_phi`` stays apart from phi's slope. The model is
-    checked against the loops at one irregular point of both signs: an
-    agent whose rows miss by more than rounding raises ``ValueError``
-    naming it and "affine". The global gradient is drive's decision blocks
-    plus a rank-2m term through (s, mean_j grad_sigma f_j(x_j, s)).
+    Agent i's local coordinates are its decisions, padded to the largest
+    ``dim_x`` (``gathered`` holds each agent's indices into x, a pad the
+    index one past x), then eta_i1 and eta_i2; its rows are its ``drive``
+    entries, then its ``theta`` row. Each coordinate is probed for all
+    agents at once, by a power of two far above the offsets, so the
+    coefficients keep every bit, and ``jac_phi`` stays apart from phi's
+    slope. The model is checked against the loops at one irregular point of
+    both signs: an agent whose rows miss by more than rounding raises
+    ``ValueError`` naming it and "affine". The global gradient is drive's
+    decision blocks plus a rank-2m term through
+    (s, mean_j grad_sigma f_j(x_j, s)).
     """
 
     def __init__(self, agents: tuple[LocalObjective, ...], m: int) -> None:
         super().__init__(agents, m)
-        dim, width = self.slices[-1].stop, self.gathered.shape[1]
+        dim, width = self.slices[-1].stop, max(obj.dim_x for obj in agents)
+        self.gathered = np.full((len(agents), width), dim)
+        for row, sl in zip(self.gathered, self.slices):
+            row[: sl.stop - sl.start] = range(sl.start, sl.stop)
         self.scattered = np.flatnonzero(self.gathered.ravel() < dim)
 
         def loops(z: np.ndarray) -> np.ndarray:
@@ -353,7 +353,7 @@ class AggregativeProblem:
         of a problem whose agents all declare ``quadratic``; None for other
         problems, or when the Hessian is not positive definite. Reporting
         metadata only: it never steers the dynamics."""
-        if not self.network.affine:
+        if not isinstance(self.network, Quadratic):
             return None
         eigs = np.linalg.eigvalsh(quadratic_hessian(self))
         lo, hi = float(eigs[0]), float(eigs[-1])

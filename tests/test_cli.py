@@ -145,6 +145,18 @@ def test_dump_config_roundtrip(capsys):
     assert dump_config(sc) == text
 
 
+@pytest.mark.parametrize("command", ["run", "dump-config"])
+def test_output_that_cannot_roundtrip_exits_one(command, tmp_path, capsys, monkeypatch):
+    # 'x#y' would be written to, but its dumped config re-parses to 'x'
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run", refuse_to_run)
+    assert run_cli([command, "--scenario", "der4", "--tend", "1", "--output", "x#y"]) == 1
+    captured = capsys.readouterr()
+    assert "--output: 'output' must be non-empty, without '#'" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_scenario(tmp_path):
     cfg_file = tmp_path / "scenario.cfg"
     cfg_file.write_text("scenario = der4\ntrigger = continuous\ntend = 2\nstride = 50\n")

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggopt.config import (
     ConfigError,
     dump_config,
     parse_config,
+    resolve_config,
     scenario_graph,
     scenario_problem,
     scenario_schemes,
@@ -179,6 +182,28 @@ def test_roundtrip_through_dump():
     ):
         sc = parse_config(text)
         assert parse_config(dump_config(sc)) == sc
+
+
+@pytest.mark.parametrize("output", ["", "x#y", "#", " x", "x ", "x\ny", "x\r", "x\u2028y"])
+def test_output_that_cannot_roundtrip_rejected(output):
+    entries = {"scenario": ("der4", "--scenario"), "output": (output, "--output")}
+    with pytest.raises(ConfigError, match=r"^--output: 'output' must be non-empty, without '#'"):
+        resolve_config(entries)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(output=st.text())
+def test_every_accepted_output_roundtrips(output):
+    # an output given as a flag is either rejected, naming the flag and the
+    # key, or dumped so that the dump re-parses to the same configuration
+    entries = {"scenario": ("der4", "--scenario"), "output": (output, "--output")}
+    try:
+        sc = resolve_config(entries)
+    except ConfigError as exc:
+        assert str(exc).startswith("--output: 'output' must be non-empty")
+        return
+    assert sc.output_dir == output
+    assert parse_config(dump_config(sc)) == sc
 
 
 def test_scenario_builders():
