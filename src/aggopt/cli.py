@@ -39,7 +39,17 @@ from .triggers import Periodic
 
 __all__ = ["main", "console_main", "run_scenario"]
 
-logger = logging.getLogger(__name__)
+# The scenario flags and their help; each gives the config key of its name,
+# as typed, so that config parses it and names the flag in its errors.
+_SCENARIO_FLAGS = {
+    "scenario": "der4 | dispatch(n, seed) | file(path) where path is a config file",
+    "trigger": "event | periodic(T) | continuous",
+    "delta": "estimator time-scale parameter",
+    "step": "integration step",
+    "tend": "simulated horizon",
+    "output": "output directory",
+    "seed": "override scenario/topology seed",
+}
 
 
 class _UsageError(Exception):
@@ -51,34 +61,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _flag_entries(args: argparse.Namespace) -> dict[str, tuple[str, str]]:
-    """Map CLI flags onto config keys, each located at its flag in error
-    messages; flags override file entries."""
-    entries: dict[str, tuple[str, str]] = {}
-    for key, value in (
-        ("trigger", args.trigger),
-        ("delta", args.delta),
-        ("step", args.step),
-        ("tend", args.tend),
-        ("output", args.output),
-        ("seed", args.seed),
-    ):
-        if value is not None:
-            entries[key] = (str(value), f"--{key}")
-    return entries
-
-
 def _scenario_entries(args: argparse.Namespace) -> dict[str, tuple[str, str]]:
-    """The config entries of ``--scenario`` and the other flags."""
+    """The config entries of ``--scenario`` and the other flags. Flags
+    override file entries, and each is located at its flag in errors."""
     if args.scenario is None:
         raise ConfigError("scenario required")
     mo = re.fullmatch(r"file\((.+)\)", args.scenario)
-    if mo is not None:
-        text = Path(mo.group(1)).read_text()
-        entries = parse_raw(text)
-    else:
-        entries = {"scenario": (args.scenario, "--scenario")}
-    entries.update(_flag_entries(args))
+    entries = {} if mo is None else parse_raw(Path(mo.group(1)).read_text())
+    for key in _SCENARIO_FLAGS:
+        value = getattr(args, key)
+        if value is not None and not (key == "scenario" and mo):
+            entries[key] = (value, f"--{key}")
     return entries
 
 
@@ -240,16 +233,8 @@ def _cmd_dump_config(args: argparse.Namespace) -> int:
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scenario",
-        help="der4 | dispatch(n, seed) | file(path) where path is a config file",
-    )
-    parser.add_argument("--trigger", help="event | periodic(T) | continuous")
-    parser.add_argument("--delta", type=float, help="estimator time-scale parameter")
-    parser.add_argument("--step", type=float, help="integration step")
-    parser.add_argument("--tend", type=float, help="simulated horizon")
-    parser.add_argument("--output", help="output directory")
-    parser.add_argument("--seed", type=int, help="override scenario/topology seed")
+    for key, help_text in _SCENARIO_FLAGS.items():
+        parser.add_argument(f"--{key}", help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

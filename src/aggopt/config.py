@@ -1,9 +1,10 @@
 """Scenario configuration: a small line-oriented ``key = value`` format.
 
 The hand-rolled parser exists because the error contract matters more than
-the syntax: unknown keys are reported together by name, and malformed
-numbers, and non-positive trigger parameters, delta, step, tend and stride,
-are reported with their line (or, for a command line flag, with the flag).
+the syntax: unknown keys are reported together by name, and every other
+rejection names its key and its line (or, for a command line flag, the
+flag, whose text arrives here as typed). Seeds must be non-negative, and an
+``edges`` pair may not be a self-loop.
 Lists are comma separated; blank lines and ``#`` comments are ignored.
 ``dump_config`` emits the canonical form, which re-parses to an identical
 configuration.
@@ -130,13 +131,14 @@ def _number(value: str, where: str, key: str, positive: bool = False) -> float:
     return number
 
 
-def _int(value: str, where: str, key: str, positive: bool = False) -> int:
+def _int(value: str, where: str, key: str, least: int) -> int:
     try:
         number = int(value)
     except ValueError:
         raise ConfigError(f"{where}: malformed integer for {key!r}: {value!r}") from None
-    if positive and number <= 0:
-        raise ConfigError(f"{where}: {key!r} must be positive, got {value!r}")
+    if number < least:
+        bound = "positive" if least else "non-negative"
+        raise ConfigError(f"{where}: {key!r} must be {bound}, got {value!r}")
     return number
 
 
@@ -150,9 +152,79 @@ def _edge_list(value: str, where: str) -> tuple[tuple[int, int], ...]:
         token = token.strip()
         mo = re.fullmatch(r"(\d+)\s*-\s*(\d+)", token)
         if mo is None:
-            raise ConfigError(f"{where}: malformed edge {token!r}; expected 'i-j'")
-        edges.append((int(mo.group(1)), int(mo.group(2))))
+            raise ConfigError(f"{where}: malformed edge {token!r} in 'edges'; expected 'i-j'")
+        i, j = int(mo.group(1)), int(mo.group(2))
+        if i == j:
+            raise ConfigError(f"{where}: edge {token!r} in 'edges' is a self-loop")
+        edges.append((i, j))
     return tuple(edges)
+
+
+# The bare names, and the one name(args) spelling with the pattern of its
+# arguments, of each key that names a kind.
+_SPELLINGS = {
+    "scenario": (("der4", "custom"), "dispatch", r"(\d+)\s*,\s*(-?\d+)",
+                 "der4, dispatch(n, seed), or custom"),
+    "topology": (("ring4", "edges"), "random", r"(\d+)\s*,\s*(-?\d+)",
+                 "ring4, random(n, seed), or edges"),
+    "trigger": (("event", "periodic", "continuous"), "periodic", r"([^)]+?)",
+                "event, periodic, periodic(T), or continuous"),
+}
+
+
+def _spelling(key: str, text: str, where: str) -> tuple[str, tuple]:
+    """The kind a scenario, topology or trigger value names, and the
+    arguments of its name(args) spelling: (n, seed), with n positive and
+    seed non-negative, or (T,) with T positive; () for a bare name."""
+    names, call, pattern, spellings = _SPELLINGS[key]
+    if text in names:
+        return text, ()
+    mo = re.fullmatch(rf"{call}\(\s*{pattern}\s*\)", text)
+    if mo is None:
+        raise ConfigError(f"{where}: {key} must be {spellings}; got {text!r}")
+    if call == "periodic":
+        return call, (_number(mo.group(1), where, key, positive=True),)
+    n, seed = int(mo.group(1)), int(mo.group(2))
+    if n < 1 or seed < 0:
+        name, bound = ("n", "positive") if n < 1 else ("seed", "non-negative")
+        raise ConfigError(f"{where}: {name!r} must be {bound}, got {key} = {text!r}")
+    return call, (n, seed)
+
+
+# The keys that only some kinds read, and those kinds.
+_NEEDS = {
+    **dict.fromkeys(("a", "b", "d", "price_intercept", "price_slope"), (("scenario", "custom"),)),
+    **dict.fromkeys(("beta1", "beta2"), (("trigger", "event"),)),
+    "edges": (("topology", "edges"),),
+    "period": (("trigger", "periodic"),),
+    "seed": (("scenario", "dispatch(n, seed)"), ("topology", "random(n, seed)")),
+}
+
+# The per-agent keys' defaults: der4's, and every other scenario's value
+# for each agent.
+_PER_AGENT = {
+    "beta1": (DER4_BETA1, DISPATCH_BETA1),
+    "beta2": (DER4_BETA2, DISPATCH_BETA2),
+    "x0": (DER4_X0, 0.0),
+}
+
+
+def _per_agent(entries: dict[str, tuple[str, str]], key: str, scenario: str,
+               n_agents: int) -> tuple[float, ...]:
+    """beta1, beta2 or x0, one value per agent, or the scenario's default.
+    The betas are positive, and one value holds for every agent."""
+    der4, other = _PER_AGENT[key]
+    if key not in entries:
+        return der4 if scenario == "der4" else (other,) * n_agents
+    value, where = entries[key]
+    beta = key != "x0"
+    values = _number_list(value, where, key, positive=beta)
+    if beta and len(values) == 1:
+        return values * n_agents
+    if len(values) != n_agents:
+        counts = f"1 or {n_agents}" if beta else n_agents
+        raise ConfigError(f"{where}: {key!r} needs {counts} values, got {len(values)}")
+    return values
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -164,75 +236,51 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
     if "scenario" not in entries:
         raise ConfigError("scenario required")
     scen_text, scen_where = entries["scenario"]
+    scenario, args = _spelling("scenario", scen_text, scen_where)
+    dispatch_n, dispatch_seed = args or (None, None)
+    if "topology" in entries:
+        topo_text, topo_where = entries["topology"]
+        topology, args = _spelling("topology", topo_text, topo_where)
+    else:
+        topology, args = ("ring4" if scenario == "der4" else "random"), ()
+    topology_n, topology_seed = args or (None, None)
+    trigger, args = _spelling("trigger", *entries.get("trigger", ("event", "default")))
+    (period,) = args or (None,)
+    kinds = {"scenario": scenario, "topology": topology, "trigger": trigger}
+    for key, needs in _NEEDS.items():
+        if key in entries and all(kinds[k] != kind.split("(")[0] for k, kind in needs):
+            settings = " or ".join(f"{k} = {kind}" for k, kind in needs)
+            raise ConfigError(f"{entries[key][1]}: {key!r} is only valid with {settings}")
 
-    dispatch_n = dispatch_seed = None
     coefficients = None
-    if scen_text == "der4":
-        scenario = "der4"
+    if scenario == "der4":
         n_agents = 4
-    elif scen_text == "custom":
-        scenario = "custom"
-        needed = ("a", "b", "d", "price_intercept", "price_slope")
-        missing = [k for k in needed if k not in entries]
+    elif scenario == "dispatch":
+        n_agents = dispatch_n
+    else:
+        missing = [k for k in ("a", "b", "d", "price_intercept", "price_slope") if k not in entries]
         if missing:
-            raise ConfigError("custom scenario needs keys: " + ", ".join(missing))
-        a = _number_list(*entries["a"], "a")
-        b = _number_list(*entries["b"], "b")
-        d = _number_list(*entries["d"], "d")
-        if not (len(a) == len(b) == len(d)):
-            raise ConfigError("a, b, d must have equal length")
+            raise ConfigError(f"{scen_where}: scenario = custom needs keys: " + ", ".join(missing))
+        a, b, d = (_number_list(*entries[key], key) for key in ("a", "b", "d"))
+        for key, values in (("b", b), ("d", d)):
+            if len(values) != len(a):
+                raise ConfigError(
+                    f"{entries[key][1]}: a, b, d must have equal length; "
+                    f"got {len(a)} for 'a' and {len(values)} for {key!r}"
+                )
         coefficients = DerParameters(
             a=a, b=b, d=d,
             price_intercept=_number(*entries["price_intercept"], "price_intercept"),
             price_slope=_number(*entries["price_slope"], "price_slope"),
         )
         n_agents = len(a)
-    else:
-        mo = re.fullmatch(r"dispatch\(\s*(\d+)\s*,\s*(-?\d+)\s*\)", scen_text)
-        if mo is None:
-            raise ConfigError(
-                f"{scen_where}: scenario must be der4, dispatch(n, seed), or custom; "
-                f"got {scen_text!r}"
-            )
-        scenario = "dispatch"
-        dispatch_n, dispatch_seed = int(mo.group(1)), int(mo.group(2))
-        if dispatch_n < 1:
-            raise ConfigError(f"{scen_where}: 'n' must be positive, got {scen_text!r}")
-        n_agents = dispatch_n
-    if scenario != "custom":
-        for key in ("a", "b", "d", "price_intercept", "price_slope"):
-            if key in entries:
-                raise ConfigError(f"key {key!r} is only valid with scenario = custom")
 
-    if "seed" in entries:
-        seed = _int(*entries["seed"], "seed")
-        if scenario == "dispatch":
-            dispatch_seed = seed
-    else:
-        seed = None
-
-    topology_n = topology_seed = None
     edges = None
+    if topology == "edges":
+        if "edges" not in entries:
+            raise ConfigError(f"{topo_where}: topology = edges needs an 'edges' key")
+        edges = _edge_list(*entries["edges"])
     if "topology" in entries:
-        topo_text, topo_where = entries["topology"]
-        if topo_text == "ring4":
-            topology = "ring4"
-        elif topo_text == "edges":
-            if "edges" not in entries:
-                raise ConfigError("topology = edges needs an 'edges' key")
-            topology = "edges"
-            edges = _edge_list(*entries["edges"])
-        else:
-            mo = re.fullmatch(r"random\(\s*(\d+)\s*,\s*(-?\d+)\s*\)", topo_text)
-            if mo is None:
-                raise ConfigError(
-                    f"{topo_where}: topology must be ring4, random(n, seed), or edges; "
-                    f"got {topo_text!r}"
-                )
-            topology = "random"
-            topology_n, topology_seed = int(mo.group(1)), int(mo.group(2))
-            if topology_n < 1:
-                raise ConfigError(f"{topo_where}: 'n' must be positive, got {topo_text!r}")
         nodes = {"ring4": 4, "random": topology_n}.get(topology)
         if nodes is None:
             nodes = max(max(edge) for edge in edges) + 1
@@ -241,96 +289,41 @@ def resolve_config(entries: dict[str, tuple[str, str]]) -> ScenarioConfig:
                 f"{topo_where}: topology {topo_text!r} has {nodes} nodes, "
                 f"but the scenario has {n_agents} agents"
             )
-    elif scenario == "der4":
-        topology = "ring4"
-    else:
-        topology = "random"
-        topology_n = n_agents
-        topology_seed = dispatch_seed if dispatch_seed is not None else 0
-    if "edges" in entries and topology != "edges":
-        raise ConfigError("'edges' key is only valid with topology = edges")
-    if seed is not None:
+    elif topology == "random":
+        topology_n, topology_seed = n_agents, dispatch_seed or 0
+    if "seed" in entries:
+        seed = _int(*entries["seed"], "seed", least=0)
+        if scenario == "dispatch":
+            dispatch_seed = seed
         if topology == "random":
             topology_seed = seed
-        elif scenario != "dispatch":
-            raise ConfigError(
-                f"{entries['seed'][1]}: 'seed' is only valid with scenario = dispatch(n, seed) "
-                "or topology = random(n, seed)"
-            )
 
     beta1 = beta2 = None
-    period = None
-    if "trigger" in entries:
-        trig_text, trig_where = entries["trigger"]
-    else:
-        trig_text, trig_where = "event", "default"
-    if trig_text == "event":
-        trigger = "event"
-    elif trig_text == "continuous":
-        trigger = "continuous"
-    elif trig_text == "periodic":
-        trigger = "periodic"
-    else:
-        mo = re.fullmatch(r"periodic\(\s*([^)]+?)\s*\)", trig_text)
-        if mo is None:
-            raise ConfigError(
-                f"{trig_where}: trigger must be event, periodic, periodic(T), or "
-                f"continuous; got {trig_text!r}"
-            )
-        trigger = "periodic"
-        period = _number(mo.group(1), trig_where, "trigger", positive=True)
-
-    def broadcast(values: tuple[float, ...], key: str) -> tuple[float, ...]:
-        if len(values) == 1:
-            return values * n_agents
-        if len(values) != n_agents:
-            raise ConfigError(f"{key} needs 1 or {n_agents} values, got {len(values)}")
-        return values
-
     if trigger == "event":
-        if "beta1" in entries:
-            beta1 = broadcast(_number_list(*entries["beta1"], "beta1", positive=True), "beta1")
-        elif scenario == "der4":
-            beta1 = DER4_BETA1
-        else:
-            beta1 = (DISPATCH_BETA1,) * n_agents
-        if "beta2" in entries:
-            beta2 = broadcast(_number_list(*entries["beta2"], "beta2", positive=True), "beta2")
-        elif scenario == "der4":
-            beta2 = DER4_BETA2
-        else:
-            beta2 = (DISPATCH_BETA2,) * n_agents
-    else:
-        if "beta1" in entries or "beta2" in entries:
-            raise ConfigError("beta1/beta2 are only valid with trigger = event")
-    if trigger == "periodic":
-        if "period" in entries:
-            if period is not None:
-                raise ConfigError("period given both inline and as a key")
-            period = _number(*entries["period"], "period", positive=True)
-        elif period is None:
-            period = DEFAULT_PERIOD
-    elif "period" in entries:
-        raise ConfigError("'period' is only valid with trigger = periodic")
+        beta1 = _per_agent(entries, "beta1", scenario, n_agents)
+        beta2 = _per_agent(entries, "beta2", scenario, n_agents)
+    if trigger == "periodic" and "period" in entries:
+        if period is not None:
+            raise ConfigError(f"{entries['period'][1]}: 'period' given both inline and as a key")
+        period = _number(*entries["period"], "period", positive=True)
+    elif trigger == "periodic" and period is None:
+        period = DEFAULT_PERIOD
 
     delta = _number(*entries["delta"], "delta", positive=True) if "delta" in entries else 0.1
     step = _number(*entries["step"], "step", positive=True) if "step" in entries else delta / 100.0
+    if step == 0.0:
+        value, where = entries["delta"]
+        raise ConfigError(f"{where}: 'delta' / 100, the default step, is 0 for {value!r}; "
+                          "give 'step' or a larger 'delta'")
     t_end = _number(*entries["tend"], "tend", positive=True) if "tend" in entries else 200.0
-    stride = _int(*entries["stride"], "stride", positive=True) if "stride" in entries else 10
+    stride = _int(*entries["stride"], "stride", least=1) if "stride" in entries else 10
     output_dir, where = entries.get("output", ("out", "default"))
     if "#" in output_dir or [output_dir] != output_dir.strip().splitlines():
         raise ConfigError(
             f"{where}: 'output' must be non-empty, without '#', line breaks or leading or "
             f"trailing whitespace, so that its dumped line re-parses; got {output_dir!r}"
         )
-    if "x0" in entries:
-        x0 = _number_list(*entries["x0"], "x0")
-        if len(x0) != n_agents:
-            raise ConfigError(f"x0 needs {n_agents} values, got {len(x0)}")
-    elif scenario == "der4":
-        x0 = DER4_X0
-    else:
-        x0 = (0.0,) * n_agents
+    x0 = _per_agent(entries, "x0", scenario, n_agents)
 
     return ScenarioConfig(
         scenario=scenario,

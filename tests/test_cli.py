@@ -295,6 +295,35 @@ def test_topology_size_mismatch_exits_one(tmp_path, capsys, scenario, lines, nod
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "lines, flags, message",
+    [
+        ("", ["--scenario", "dispatch(3, -2)"],
+         "--scenario: 'seed' must be non-negative, got scenario = 'dispatch(3, -2)'"),
+        ("topology = random(4, -3)", [],
+         "line 2: 'seed' must be non-negative, got topology = 'random(4, -3)'"),
+        ("", ["--scenario", "dispatch(3, 1)", "--seed", "-1"],
+         "--seed: 'seed' must be non-negative, got '-1'"),
+        ("topology = random(4, 1)\nseed = -1", [],
+         "line 3: 'seed' must be non-negative, got '-1'"),
+    ],
+    ids=["flag_scenario", "topology", "flag_seed", "seed"],
+)
+def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, lines, flags, message):
+    # numpy rejects a negative seed only once the run builds its instance
+    monkeypatch.setattr(cli, "run", refuse_to_run)
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"scenario = der4\n{lines}\n")
+    out = tmp_path / "out"
+    for command in ("dump-config", "run"):
+        code = run_cli([
+            command, "--scenario", f"file({config})", "--output", str(out), *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def _source_env():
     """This environment with the tested source tree first on the import path."""
     src = Path(aggopt.__file__).resolve().parents[1]
@@ -482,6 +511,12 @@ def test_sweep_resolves_step_like_run(tmp_path, capsys, lines, flags, steps):
     for delta, step in zip(("0.1", "0.2"), steps):
         summary = json.loads((out / f"delta_{delta}" / "summary.json").read_text())
         assert f"\nstep = {step}\n" in summary["config"]
+
+
+def test_flags_reach_config_as_typed(capsys):
+    # a flag converted by argparse would report 1e-400 as '0.0'
+    assert run_cli(["dump-config", "--scenario", "der4", "--tend", "1e-400"]) == 1
+    assert capsys.readouterr() == ("", "error: --tend: 'tend' must be positive, got '1e-400'\n")
 
 
 def test_seed_that_seeds_nothing_exits_one(capsys):
