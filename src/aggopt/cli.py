@@ -267,11 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# set by the first main call; gc.get_freeze_count walks the whole frozen
+# generation, so later calls skip it
+_heap_checked = False
+
+
 def main(argv: list[str] | None = None) -> int:
-    if not gc.get_freeze_count():
+    global _heap_checked
+    if not (_heap_checked or gc.get_freeze_count()):
         # The start-up heap (numpy and these modules) lives until exit; frozen,
         # the collector stops re-scanning it, which is most of the exit cost.
+        # A host that froze its own heap is left alone.
         gc.freeze()
+    _heap_checked = True
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:

@@ -4,7 +4,7 @@ The hand-rolled parser exists because the error contract matters more than
 the syntax: unknown keys are reported together by name, and every other
 rejection names its key and its line (or, for a command line flag, the
 flag, whose text arrives here as typed). Seeds must be non-negative, and an
-``edges`` pair may not be a self-loop.
+``edges`` pair may not be a self-loop, nor may its graph be disconnected.
 Lists are comma separated; blank lines and ``#`` comments are ignored.
 ``dump_config`` emits the canonical form, which re-parses to an identical
 configuration.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SimConfig
-from .graphs import Graph, random_connected_graph, ring
+from .graphs import Graph, is_connected, random_connected_graph, ring
 from .problems import (
     AggregativeProblem,
     DerParameters,
@@ -157,6 +157,8 @@ def _edge_list(value: str, where: str) -> tuple[tuple[int, int], ...]:
         if i == j:
             raise ConfigError(f"{where}: edge {token!r} in 'edges' is a self-loop")
         edges.append((i, j))
+    if not is_connected(Graph.from_edges(max(map(max, edges)) + 1, edges)):
+        raise ConfigError(f"{where}: the graph of 'edges' is not connected")
     return tuple(edges)
 
 

@@ -81,7 +81,7 @@ from .graphs import Graph, is_connected, lambda_bound, laplacian
 from .integrate import DivergenceError, ensure_finite, rk4_step
 from .oracles import fit_decay_rate, solve_kkt_quadratic
 from .problems import AggregativeProblem, Quadratic
-from .triggers import EventLog, Periodic, TriggerRule, TriggerScheme, validate_scheme
+from .triggers import EventLog, TriggerRule, TriggerScheme, validate_scheme
 
 __all__ = [
     "SimConfig",
@@ -180,16 +180,6 @@ def _state_entry(k: int, n_agents: int, two_m: int, n: int) -> str:
         return f"x_{k}"
     block, agent, component = np.unravel_index(k - n, (2, n_agents, two_m))
     return f"{('eta', 'w')[block]}[agent {agent}, component {component}]"
-
-
-def _divergence_advice(schemes: tuple[TriggerScheme, ...]) -> str:
-    """What a divergence message tells the user to change: the step, and
-    with periodic agents the broadcast period first, since a long hold
-    destabilizes the estimator at any step."""
-    periods = [s.period for s in schemes if isinstance(s, Periodic)]
-    if not periods:
-        return "reduce the step size"
-    return f"reduce the largest broadcast period T={max(periods):.6g} or the step size"
 
 
 def decision_rates(
@@ -396,7 +386,6 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
 
     rule = TriggerRule(cfg.schemes)
     entry = partial(_state_entry, n_agents=n_agents, two_m=2 * problem.m, n=n)
-    advice = _divergence_advice(cfg.schemes)
     # (grid step, agent mask) of every broadcast, split per agent after the loop
     broadcasts = [(0, np.ones(n_agents, dtype=bool))]
 
@@ -425,7 +414,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
             fired = rule.fire(times[:checked], estimators, hats)
         kept = size if fired is None else fired[0] + 1
         # after the trigger rule: a broadcast before a diverged state changes it
-        ensure_finite(rows[:kept], times, h, entry, advice)
+        ensure_finite(rows[:kept], times, h, entry, rule.advice)
         first = -(k + 1) % stride
         if first < kept:
             recorded = rows[first:kept:stride]

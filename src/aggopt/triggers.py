@@ -77,24 +77,27 @@ class EventLog:
 
 
 class TriggerRule:
-    """Every agent's broadcast rule at once, for one run of validated schemes:
-    it keeps the periodic agents' next due times, which start one period
-    after the broadcast every agent makes at t = 0.
+    """Every agent's broadcast rule at once, for one run of validated schemes.
 
-    :meth:`fire` checks a span of K grid times, with the broadcasts held, in
-    one pass: arrays carry a leading grid-time axis, and the first time at
-    which some agent fires ends the span."""
+    Each agent has a period and a next due time: 0 and -inf for a
+    continuous agent, T and T for a periodic one (every agent broadcasts at
+    t = 0), +inf and +inf for an event agent. :meth:`fire` checks a span of
+    K grid times, with the broadcasts held, in one pass. ``advice`` is what
+    a divergence message tells the user to change: the step, and with
+    periodic agents the largest period first, since a long hold destabilizes
+    the estimator at any step."""
 
     def __init__(self, schemes: Sequence[TriggerScheme]) -> None:
-        self.continuous = np.array([isinstance(s, Continuous) for s in schemes])
-        self.periodic = np.array([isinstance(s, Periodic) for s in schemes])
-        self.event = np.array([isinstance(s, Event) for s in schemes])
-        self.period = np.array([getattr(s, "period", np.inf) for s in schemes], dtype=float)
+        self.period = np.array([0.0 if isinstance(s, Continuous) else getattr(s, "period", np.inf)
+                                for s in schemes], dtype=float)
         self.beta1 = np.array([getattr(s, "beta1", 0.0) for s in schemes], dtype=float)
         self.beta2 = np.array([getattr(s, "beta2", 0.0) for s in schemes], dtype=float)
-        self.next_due = self.period.copy()
-        self.any_periodic = bool(self.periodic.any())
+        self.event = np.array([isinstance(s, Event) for s in schemes])
         self.any_event = bool(self.event.any())
+        self.next_due = np.where(self.period > 0, self.period, -np.inf)
+        held = self.period[np.isfinite(self.period)].max(initial=0.0)
+        period = f"the largest broadcast period T={held:.6g} or " if held else ""
+        self.advice = f"reduce {period}the step size"
 
     def threshold(self, t: float | np.ndarray) -> np.ndarray:
         """Per-agent event threshold beta1 * exp(-beta2 * t); 0 for other
@@ -112,30 +115,26 @@ class TriggerRule:
         block of last broadcasts, held over all K rows. Each row is decided
         with the arithmetic of a call with that row alone.
 
-        Continuous agents always fire. A periodic agent fires once t reaches
-        its due time less ``DUE_SLACK``; the due time then advances by one
-        period, for the returned row only. An event agent fires when the norm of its stacked
+        An agent fires once t reaches its due time less ``DUE_SLACK``, so a
+        continuous agent always fires and an event agent never does by this
+        test. An event agent also fires when the norm of its stacked
         broadcast-minus-true error reaches the threshold (inclusive
-        comparison).
+        comparison). The due times of the agents that fire advance by their
+        period, for the returned row only.
         """
         t = times[:, None]
+        fires = t >= self.next_due - DUE_SLACK
         if self.any_event:
             d = hats - estimators
             err = np.sqrt(np.einsum("rkij,rkij->ri", d, d))
-            fires = self.event & (err >= self.threshold(t))
-        else:
-            fires = np.zeros((times.size, self.event.size), dtype=bool)
-        if self.any_periodic:
-            due = self.periodic & (t >= self.next_due - DUE_SLACK)
-            fires |= due
-        fires |= self.continuous
+            fires |= self.event & (err >= self.threshold(t))
         first = int(fires.argmax())
         if not fires.ravel()[first]:
             return None
         row = first // self.event.size
-        if self.any_periodic:
-            self.next_due[due[row]] += self.period[due[row]]
-        return row, fires[row]
+        mask = fires[row]
+        self.next_due[mask] += self.period[mask]
+        return row, mask
 
 
 def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float) -> float:

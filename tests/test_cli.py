@@ -353,14 +353,30 @@ assert gc.get_freeze_count() == 0, "the library froze the heap"
 assert cli.main(["dump-config", "--scenario", "der4"]) == 0
 frozen = gc.get_freeze_count()
 assert frozen > 0, "cli.main did not freeze the heap"
+walks = []
+count = gc.get_freeze_count
+gc.get_freeze_count = lambda: walks.append(1) or count()
 assert cli.main(["dump-config", "--scenario", "der4"]) == 0
+gc.get_freeze_count = count
+assert not walks, "a second cli.main walked the frozen generation again"
 assert gc.get_freeze_count() == frozen, "a second cli.main froze again"
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=_source_env(), check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # a host that froze its heap first keeps it as it froze it
+    host = """
+import gc
+from aggopt import cli
+
+gc.freeze()
+frozen = gc.get_freeze_count()
+assert cli.main(["dump-config", "--scenario", "der4"]) == 0
+assert gc.get_freeze_count() == frozen, "cli.main froze a host's heap again"
+"""
+    for code in (script, host):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=_source_env(), check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -382,7 +398,7 @@ def test_closed_stdout_exits_141_quietly(buffered):
     assert proc.stderr == b""
 
 
-@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("command", ["run", "oracle", "dump-config"])
 def test_disconnected_topology_exits_one(tmp_path, capsys, command):
     config = tmp_path / "scenario.cfg"
     config.write_text("scenario = der4\ntopology = edges\nedges = 0-1, 2-3\n")
@@ -391,7 +407,7 @@ def test_disconnected_topology_exits_one(tmp_path, capsys, command):
     ])
     assert code == 1
     captured = capsys.readouterr()
-    assert "connected" in captured.err
+    assert "line 3: the graph of 'edges' is not connected" in captured.err
     assert captured.out == ""
 
 

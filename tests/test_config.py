@@ -179,6 +179,8 @@ def test_malformed_scenario_and_topology():
         parse_config("scenario = der4\ntopology = edges\nedges = 0-1, 1-2, 2-3, 3-3\n")
     with pytest.raises(ConfigError, match=r"^line 2: 'edges' is only valid with topology = edges$"):
         parse_config("scenario = der4\nedges = 0-1, 1-2, 2-3\n")
+    with pytest.raises(ConfigError, match=r"^line 3: the graph of 'edges' is not connected$"):
+        parse_config("scenario = der4\ntopology = edges\nedges = 0-1, 2-3\n")
 
 
 def test_delta_whose_default_step_is_zero_rejected():
@@ -323,7 +325,8 @@ def invalid_values(key, n):
     return {
         "scenario": ["tetris", "dispatch(0, 1)", "dispatch(3, -2)", "custom(2)"],
         "topology": ["torus", "random(0, 1)", "random(4, -3)"],
-        "edges": ["0+1", "1-1", "0-1, 2-2"],
+        # for n >= 3, 0-(n-1) spans every node and isolates node 1
+        "edges": ["0+1", "1-1", "0-1, 2-2", *([f"0-{n - 1}"] if n >= 3 else [])],
         "trigger": ["sometimes", "periodic(0)", "periodic(nan)", "periodic(x)"],
         "beta1": ["0", "-1", "nan", many],
         "beta2": ["0", "inf", many],

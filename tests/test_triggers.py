@@ -18,7 +18,7 @@ from aggopt import (
     zeno_bound_constants,
     zeno_lower_bound,
 )
-from aggopt.triggers import TriggerRule
+from aggopt.triggers import DUE_SLACK, TriggerRule
 
 
 def fire_once(rule, t, estimator, hats):
@@ -152,6 +152,79 @@ def test_multi_row_check_matches_single_rows(kinds):
         times = np.arange(1, 61) * h
         estimators = rng.normal(scale=0.4, size=(60, 2, n_agents, 2))
         assert_spans_match_single_rows(schemes, times, estimators, np.zeros((2, n_agents, 2)))
+
+
+def reference_broadcasts(schemes, times, estimators, hats):
+    """(grid index, mask, periodic agents' due times after it) of every
+    broadcast, one grid time and one agent at a time, each by its scheme's
+    own definition: a continuous agent always fires, a periodic one once t
+    reaches its due time less DUE_SLACK (due one period after its last
+    due time), and an event one once the norm of its stacked error reaches
+    beta1 exp(-beta2 t)."""
+    hats, found = hats.copy(), []
+    due = {i: s.period for i, s in enumerate(schemes) if isinstance(s, Periodic)}
+    for k, t in enumerate(times):
+        mask = np.zeros(len(schemes), dtype=bool)
+        for i, scheme in enumerate(schemes):
+            if isinstance(scheme, Continuous):
+                mask[i] = True
+            elif isinstance(scheme, Periodic):
+                mask[i] = t >= due[i] - DUE_SLACK
+            else:
+                error = math.sqrt(sum(v * v for v in (hats[:, i] - estimators[k][:, i]).flat))
+                mask[i] = error >= scheme.beta1 * math.exp(-scheme.beta2 * t)
+        if mask.any():
+            for i in due:
+                if mask[i]:
+                    due[i] += schemes[i].period
+            hats[:, mask] = estimators[k][:, mask]
+            found.append((k, mask.tolist(), list(due.values())))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fire_matches_per_scheme_reference(seed):
+    # random rules mixing every subset of the three kinds, checked over
+    # random spans: fire() finds the reference's broadcasts, masks and
+    # periodic due times
+    rng = np.random.default_rng(seed)
+    n_agents, n_times, h = 6, 150, 0.01
+    times = np.arange(1, n_times + 1) * h
+    fired = {"continuous": 0, "periodic": 0, "event": 0}
+    for _ in range(8):
+        kinds = rng.choice(list(fired), size=rng.integers(1, 4), replace=False)
+        schemes = []
+        for kind in rng.choice(kinds, size=n_agents):
+            if kind == "continuous":
+                schemes.append(Continuous())
+            elif kind == "periodic":
+                # a whole number of steps, at times off by a few 1e-12,
+                # puts due times within the slack of grid times
+                whole = int(rng.integers(2, 20)) * h + rng.choice([0.0, -5e-12, 5e-12])
+                schemes.append(Periodic(float(rng.choice([whole, rng.uniform(0.015, 0.2)]))))
+            else:
+                schemes.append(Event(float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.05, 2.0))))
+        estimators = rng.normal(scale=0.4, size=(n_times, 2, n_agents, 2))
+        expected = reference_broadcasts(schemes, times, estimators, np.zeros((2, n_agents, 2)))
+
+        rule, hats, got, k = TriggerRule(schemes), np.zeros((2, n_agents, 2)), [], 0
+        periodic = [isinstance(s, Periodic) for s in schemes]
+        while k < n_times:
+            span = int(rng.integers(1, 40))
+            result = rule.fire(times[k : k + span], estimators[k : k + span], hats)
+            if result is None:
+                k += span
+                continue
+            row, mask = result
+            k += row
+            hats[:, mask] = estimators[k][:, mask]
+            got.append((k, mask.tolist(), rule.next_due[periodic].tolist()))
+            k += 1
+        assert got == expected
+        for _, mask, _ in expected:
+            for scheme, hit in zip(schemes, mask):
+                fired[type(scheme).__name__.lower()] += hit
+    assert all(fired.values()), fired
 
 
 def test_zeno_lower_bound_linear_cases():
