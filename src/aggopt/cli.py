@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         # a reader that closed stdout must fail here, not in the exit flush
         sys.stdout.flush()
         return code
-    except (_UsageError, ConfigError, ValueError) as exc:
+    except (_UsageError, ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceError as exc:

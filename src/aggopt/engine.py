@@ -132,7 +132,7 @@ class SimConfig:
             raise ValueError("the communication graph must be connected")
         if len(self.schemes) != self.problem.n_agents:
             raise ValueError("one trigger scheme per agent is required")
-        if self.output_stride < 1:
+        if not (isinstance(self.output_stride, (int, np.integer)) and self.output_stride >= 1):
             raise ValueError("output_stride must be a positive integer")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.problem.dim,):

@@ -70,16 +70,22 @@ def centralized_flow(
 ) -> CentralizedTrajectory:
     """Integrate x' = -grad f(x) with fixed 4th-order steps.
 
+    ``h`` and ``t_end`` must be positive and finite, ``stride`` a positive
+    integer and ``x0`` a finite decision vector, else ``ValueError``.
     Records every ``stride``-th step and the last one. Stops early once the
     gradient norm drops to ``FLOW_GRAD_TOL``. The aggregate
     entering every agent's gradient is recomputed exactly at each stage, so
     this is the coordinator baseline the distributed runs are compared to.
     """
-    if h <= 0 or t_end <= 0:
-        raise ValueError("h and t_end must be positive")
+    if not all(0 < v < np.inf for v in (h, t_end)):
+        raise ValueError("h and t_end must be positive and finite")
+    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+        raise ValueError("stride must be a positive integer")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({problem.dim},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
 
     # the stopping test's gradient at x is the next step's first stage
     grad = global_gradient(problem, x)

@@ -151,9 +151,10 @@ class PerAgent:
     Both evaluators provide ``aggregate`` (sigma), ``cost`` and ``gradient``
     of the global cost, ``theta`` (the (N, 2m) estimator inputs; (K, N, 2m)
     for K samples stacked on a leading axis) and ``drive`` (stacked
-    grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2). Every method checks
-    the shapes the agents' callables return; ``theta`` and ``drive`` write
-    each agent's row or slice into one array per call."""
+    grad_x f_i(x_i, eta_i1) + jac_phi_i(x_i)^T eta_i2); the gradient is
+    ``drive`` at exact estimates. Every method checks the shapes the agents'
+    callables return; ``theta`` and ``drive`` write each agent's row or
+    slice into one array per call."""
 
     def __init__(self, agents: tuple[LocalObjective, ...], m: int) -> None:
         self.agents = agents
@@ -166,9 +167,6 @@ class PerAgent:
             for i, (obj, sl) in enumerate(zip(agents, self.slices))
         ]
 
-    def blocks(self, x: Vector) -> list[Vector]:
-        return [x[sl] for sl in self.slices]
-
     def aggregate(self, x: Vector) -> Vector:
         total = np.zeros(self.m)
         for i, obj, sl, _, _ in self.layout:
@@ -179,19 +177,13 @@ class PerAgent:
 
     def cost(self, x: Vector) -> float:
         s = self.aggregate(x)
-        return float(sum(obj.cost(x_i, s) for obj, x_i in zip(self.agents, self.blocks(x))))
+        return float(sum(obj.cost(x[sl], s) for obj, sl in zip(self.agents, self.slices)))
 
     def gradient(self, x: Vector) -> Vector:
-        # block i is drive_i at eta_i1 = s and eta_i2 = mean_j grad_sigma f_j(x_j, s)
-        s = self.aggregate(x)
-        total_gs = np.zeros(self.m)
-        for i, obj, sl, _, _ in self.layout:
-            value = obj.grad_sigma(x[sl], s)
-            _shape_error(i, ("grad_sigma", value, total_gs.shape))
-            total_gs += value
-        shape = (len(self.agents), self.m)
-        etas = np.broadcast_to(s, shape), np.broadcast_to(total_gs / len(self.agents), shape)
-        return self.drive(x, *etas)
+        # drive at eta_i1 = s, eta_i2 = mean_j grad_sigma f_j(x_j, s) (summed in agent order)
+        eta1 = np.broadcast_to(self.aggregate(x), (len(self.agents), self.m))
+        eta2 = sum(self.theta(x, eta1)[:, self.m :]) / len(self.agents)
+        return self.drive(x, eta1, np.broadcast_to(eta2, eta1.shape))
 
     def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
         if x.ndim > 1:

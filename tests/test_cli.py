@@ -106,6 +106,19 @@ def test_sweep_deltas_checked_before_any_run(tmp_path, capsys, monkeypatch, delt
     assert not out.exists()
 
 
+def test_memory_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    # a horizon whose time grid cannot be allocated; raised here, because a
+    # real allocation can succeed on a host that overcommits
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000001,)")
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    code = run_cli(["run", "--scenario", "der4", "--tend", "1e9", "--output", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 7.28 TiB for an array with shape (1000000001,)\n"
+
+
 def test_oracle_subcommand(capsys):
     code = run_cli(["oracle", "--scenario", "der4"])
     assert code == 0

@@ -136,8 +136,10 @@ def test_config_validation(der4, ring4):
         event_config(der4, ring4, x0=np.zeros(3))
     with pytest.raises(ValueError):
         event_config(der4, ring4, schemes=EVENT_SCHEMES[:2])
-    with pytest.raises(ValueError):
-        event_config(der4, ring4, output_stride=0)
+    for stride in (0, 2.5):
+        with pytest.raises(ValueError, match="output_stride must be a positive integer"):
+            event_config(der4, ring4, output_stride=stride)
+    event_config(der4, ring4, output_stride=np.int64(3))  # numpy integers stay valid
     with pytest.raises(ValueError):
         event_config(der4, ring4, delta=-0.1)
     for bad in (dict(delta=np.nan), dict(h=np.nan), dict(t_end=np.inf)):

@@ -180,13 +180,22 @@ def test_centralized_flow_divergence(der4):
         centralized_flow(der4, np.array([5.0, 6.0, 3.0, 8.0]), h=5.0, t_end=500.0)
 
 
-def test_centralized_flow_rejects_bad_arguments(der4):
+def test_centralized_flow_rejects_bad_arguments(der4, gradient_calls):
     x0 = np.array([5.0, 6.0, 3.0, 8.0])
-    for h in (0.0, -1e-3):
-        with pytest.raises(ValueError, match="h and t_end must be positive"):
-            centralized_flow(der4, x0, h=h, t_end=1.0)
+    for bad in (dict(h=0.0), dict(h=-1e-3), dict(h=np.nan), dict(t_end=np.inf)):
+        with pytest.raises(ValueError, match="h and t_end must be positive and finite"):
+            centralized_flow(der4, x0, **{"h": 1e-3, "t_end": 1.0, **bad})
+    for stride in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="stride must be a positive integer"):
+            centralized_flow(der4, x0, h=1e-3, t_end=1.0, stride=stride)
     with pytest.raises(ValueError, match=r"x0 has shape \(3,\), expected \(4,\)"):
         centralized_flow(der4, x0[:3], h=1e-3, t_end=1.0)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        centralized_flow(der4, np.array([5.0, np.nan, 3.0, 8.0]), h=1e-3, t_end=1.0)
+    # every argument is checked before the first gradient
+    assert gradient_calls == []
+    # a numpy integer is an integer stride
+    assert centralized_flow(der4, x0, h=1e-3, t_end=0.01, stride=np.int64(5)).times.size == 3
 
 
 def test_fit_decay_rate_exact_exponential():
