@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import os
 import re
@@ -98,25 +97,32 @@ def _rate_bound(problem) -> tuple[float | None, float | None, float | None]:
     return kappa, lipschitz, kappa / (1.0 + 2.0 * lipschitz)
 
 
+def _warn(texts: tuple[str, ...]) -> None:
+    for text in texts:
+        print(f"warning: {text}", file=sys.stderr)
+
+
 def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> dict:
     """Oracle solve + distributed run; writes trajectory.csv, events.csv,
-    and summary.json into the scenario's output directory."""
+    and summary.json into the scenario's output directory, and each warning
+    of the run to stderr as ``warning: <text>``."""
     if compare_periodic is not None:
         _check_positive_finite(compare_periodic, "--compare-periodic")
     cfg = to_sim_config(sc)
     problem, graph = cfg.problem, cfg.graph
     x_star = solve_kkt_quadratic(problem)
-    result = run(cfg, x_star=x_star)
+    try:
+        result = run(cfg, x_star=x_star)
+    except DivergenceError as exc:
+        _warn(exc.warnings)
+        raise
+    _warn(result.metrics.warnings)
     kappa, lipschitz, bound = _rate_bound(problem)
-
-    last = -1
-    residual = equilibrium_residual(
-        problem, graph, result.x[last], result.eta[last], result.w[last]
-    )
+    residual = equilibrium_residual(problem, graph, result.x[-1], result.eta[-1], result.w[-1])
     summary = {
         "config": dump_config(sc),
         "lambda": result.metrics.lambda_bound,
-        "scheme_warnings": list(result.metrics.scheme_warnings),
+        "warnings": list(result.metrics.warnings),
         "final_decisions": result.metrics.final_x,
         "oracle_solution": x_star,
         "relative_error": result.metrics.relative_error,
@@ -280,7 +286,6 @@ def main(argv: list[str] | None = None) -> int:
         # A host that froze its own heap is left alone.
         gc.freeze()
     _heap_checked = True
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

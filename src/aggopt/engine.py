@@ -63,7 +63,6 @@ produce bit-identical results.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -78,7 +77,7 @@ from .consensus import (
     theta_stack,
 )
 from .graphs import Graph, is_connected, lambda_bound, laplacian
-from .integrate import DivergenceError, ensure_finite, rk4_step
+from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_step
 from .oracles import fit_decay_rate, solve_kkt_quadratic
 from .problems import AggregativeProblem, Quadratic
 from .triggers import EventLog, TriggerRule, TriggerScheme, validate_scheme
@@ -94,8 +93,6 @@ __all__ = [
     "consensus_error",
     "DivergenceError",
 ]
-
-logger = logging.getLogger(__name__)
 
 # The step map re-anchors every SPAN_CAP quiet steps and keeps that many
 # powers of P; a span ends at the next anchor, so it is at most SPAN_CAP grid
@@ -134,11 +131,7 @@ class SimConfig:
             raise ValueError("one trigger scheme per agent is required")
         if not (isinstance(self.output_stride, (int, np.integer)) and self.output_stride >= 1):
             raise ValueError("output_stride must be a positive integer")
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (self.problem.dim,):
-            raise ValueError(f"x0 has shape {x0.shape}, expected ({self.problem.dim},)")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 must be finite")
+        finite_vector("x0", self.x0, self.problem.dim)
 
 
 @dataclass(eq=False)
@@ -152,7 +145,7 @@ class SimMetrics:
     broadcast_counts: np.ndarray
     min_interevent: np.ndarray
     lambda_bound: float
-    scheme_warnings: tuple[str, ...]
+    warnings: tuple[str, ...]
 
 
 @dataclass(eq=False)
@@ -360,21 +353,22 @@ def closed_loop_step(
 def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     """Execute one closed-loop run; see the module docstring for semantics.
 
-    ``x_star`` may be supplied to skip the oracle solve; when omitted the
-    quadratic stationarity solver is attempted and decision-error metrics
-    are dropped if the instance is not quadratic.
+    ``x_star``, a finite (dim,) vector, skips the oracle solve; when omitted
+    the quadratic stationarity solver is attempted and decision-error
+    metrics are dropped if the instance is not quadratic. The warnings are
+    ``metrics.warnings``, or a raised ``DivergenceError``'s ``warnings``.
     """
     problem, g = cfg.problem, cfg.graph
     n_agents, n = problem.n_agents, problem.dim
+    if x_star is not None:
+        x_star = finite_vector("x_star", x_star, n)
     lap = laplacian(g)
     lam = lambda_bound(lap)
     warnings = validate_scheme(cfg.schemes, lam)
-    for msg in warnings:
-        logger.warning(msg)
     if cfg.h > cfg.delta / 10.0:
-        logger.warning(
-            "step h=%g exceeds delta/10=%g; the fast subsystem may be under-resolved",
-            cfg.h, cfg.delta / 10.0,
+        warnings += (
+            f"step h={cfg.h:g} exceeds delta/10={cfg.delta / 10.0:g}; "
+            "the fast subsystem may be under-resolved",
         )
 
     x0 = np.asarray(cfg.x0, dtype=float)
@@ -414,7 +408,11 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
             fired = rule.fire(times[:checked], estimators, hats)
         kept = size if fired is None else fired[0] + 1
         # after the trigger rule: a broadcast before a diverged state changes it
-        ensure_finite(rows[:kept], times, h, entry, rule.advice)
+        try:
+            ensure_finite(rows[:kept], times, h, entry, rule.advice)
+        except DivergenceError as exc:
+            exc.warnings = warnings
+            raise
         first = -(k + 1) % stride
         if first < kept:
             recorded = rows[first:kept:stride]
@@ -467,7 +465,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
         broadcast_counts=events.counts,
         min_interevent=events.min_intervals(),
         lambda_bound=lam,
-        scheme_warnings=warnings,
+        warnings=warnings,
     )
     return SimResult(
         times=rec_t, x=rec_x, eta=rec_estimator[:, 0], w=rec_estimator[:, 1],

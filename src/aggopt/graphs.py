@@ -48,6 +48,8 @@ class Graph:
     def from_edges(cls, n_nodes: int, pairs) -> "Graph":
         norm = set()
         for i, j in pairs:
+            if not all(isinstance(v, (int, np.integer)) for v in (i, j)):
+                raise ValueError(f"edge ({i!r}, {j!r}): node labels must be integers")
             i, j = int(i), int(j)
             if i == j:
                 raise ValueError(f"self-loop at node {i}")

@@ -10,14 +10,17 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DivergenceError", "rk4_step", "ensure_finite"]
+__all__ = ["DivergenceError", "rk4_step", "ensure_finite", "finite_vector"]
 
 # Beyond this magnitude the trajectory is treated as diverged.
 STATE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the integrated state blows up or turns non-finite."""
+    """Raised when the integrated state blows up or turns non-finite.
+    ``warnings`` holds the run's warnings when ``engine.run`` raised it."""
+
+    warnings: tuple[str, ...] = ()
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -47,3 +50,13 @@ def ensure_finite(
             f"state diverged at t={times[row]:.6g} (step h={h:.6g}): "
             f"{name(k)} = {rows[row, k]:.6g}; {advice}"
         )
+
+
+def finite_vector(name: str, v: np.ndarray, dim: int) -> np.ndarray:
+    """``v`` as floats; ``ValueError`` naming it unless a finite (dim,) vector."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dim,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v

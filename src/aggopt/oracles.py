@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import DivergenceError, ensure_finite, rk4_step
+from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_step
 from .problems import AggregativeProblem, global_gradient
 
 __all__ = [
@@ -81,11 +81,7 @@ def centralized_flow(
         raise ValueError("h and t_end must be positive and finite")
     if not (isinstance(stride, (int, np.integer)) and stride >= 1):
         raise ValueError("stride must be a positive integer")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({problem.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
+    x = finite_vector("x0", x0, problem.dim).copy()
 
     # the stopping test's gradient at x is the next step's first stage
     grad = global_gradient(problem, x)
@@ -117,13 +113,15 @@ def fit_decay_rate(times: np.ndarray, errors: np.ndarray) -> float:
 
     Fits log(e) against t over the points with e > ``DECAY_FIT_FLOOR``
     (non-positive entries are dropped) and returns the negated slope, so a
-    decaying series yields a positive rate. Needs at least 10 usable
-    points, at more than one time.
+    decaying series yields a positive rate. Needs finite times and at
+    least 10 usable points, at more than one time.
     """
     times = np.asarray(times, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if times.shape != errors.shape:
         raise ValueError("times and errors must have matching shapes")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     mask = np.isfinite(errors) & (errors > DECAY_FIT_FLOOR)
     if int(mask.sum()) < 10:
         raise ValueError("fewer than 10 usable points above the error floor")

@@ -148,6 +148,8 @@ def zeno_lower_bound(m1: float, m2: float, beta1: float, beta2: float) -> float:
     bisection on [0, beta1 / (m1 + m2)] to absolute tolerance
     ``ZENO_BISECTION_TOL``.
     """
+    if not all(map(math.isfinite, (m1, m2, beta1, beta2))):
+        raise ValueError("m1, m2, beta1 and beta2 must be finite")
     total = m1 + m2
     if total <= 0:
         raise ValueError("m1 + m2 must be positive; no bound is defined otherwise")

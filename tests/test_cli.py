@@ -424,13 +424,69 @@ def test_disconnected_topology_exits_one(tmp_path, capsys, command):
     assert captured.out == ""
 
 
-def test_divergence_exits_two(tmp_path):
-    out = tmp_path / "boom"
+def test_run_warnings_printed_and_recorded_once(tmp_path, capsys):
+    # beta2 = 2 is not below der4's spectral bound 1 for any agent, and the
+    # step exceeds delta/10; the periodic comparison run adds no warning
+    config = tmp_path / "scenario.cfg"
+    config.write_text("scenario = der4\ntrigger = event\nbeta2 = 2\n")
+    out = tmp_path / "out"
     code = run_cli([
-        "run", "--scenario", "der4", "--step", "5", "--tend", "100",
-        "--output", str(out),
+        "run", "--scenario", f"file({config})", "--delta", "0.1", "--step", "0.02",
+        "--tend", "0.5", "--compare-periodic", "0.05", "--output", str(out),
     ])
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 5 and all(line.startswith("warning: ") for line in lines)
+    texts = [line.removeprefix("warning: ") for line in lines]
+    assert [text[:8] for text in texts[:4]] == [f"agent {i}:" for i in range(4)]
+    step = "step h=0.02 exceeds delta/10=0.01; the fast subsystem may be under-resolved"
+    assert texts[4] == step
+    assert json.loads((out / "summary.json").read_text())["warnings"] == texts
+
+
+def test_cli_imports_no_logging(tmp_path):
+    # a fresh interpreter: this test process has imported logging already
+    script = f"""
+import sys
+from aggopt import cli
+
+assert "logging" not in sys.modules, "import aggopt.cli loaded logging"
+assert cli.main(["run", "--scenario", "der4", "--step", "0.05", "--tend", "0.5",
+                 "--output", {str(tmp_path / "out")!r}]) == 0
+assert "logging" not in sys.modules, "aggopt.cli run loaded logging"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_source_env(), check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("warning: step h=0.05 exceeds delta/10")
+
+
+def _divergence_stderr(tmp_path, capsys, flags):
+    code = run_cli(["run", "--scenario", "der4", *flags, "--output", str(tmp_path / "boom")])
     assert code == 2
+    return capsys.readouterr().err.splitlines()
+
+
+def test_divergence_exits_two(tmp_path, capsys):
+    # the run's warnings, carried by the error, come before it
+    assert _divergence_stderr(tmp_path, capsys, ["--step", "5", "--tend", "100"]) == [
+        "warning: step h=5 exceeds delta/10=0.01; the fast subsystem may be under-resolved",
+        "error: state diverged at t=10 (step h=5): eta[agent 1, component 0] = 1.44502e+12; "
+        "reduce the step size",
+    ]
+
+
+def test_comparison_divergence_prints_the_warnings_once(tmp_path, capsys):
+    # the event run completes and the periodic(0.3) comparison diverges; its
+    # warnings are the main run's, so they are not printed again
+    flags = ["--step", "0.02", "--tend", "6", "--compare-periodic", "0.3"]
+    warning, error = _divergence_stderr(tmp_path, capsys, flags)
+    assert warning == (
+        "warning: step h=0.02 exceeds delta/10=0.01; the fast subsystem may be under-resolved"
+    )
+    assert error.startswith("error: state diverged at t=4.38 (step h=0.02): ")
 
 
 def test_io_failure_exits_three(tmp_path):

@@ -1,4 +1,3 @@
-import logging
 import math
 from dataclasses import replace
 from functools import partial
@@ -226,20 +225,36 @@ def test_broadcasts_constant_between_events(der4, ring4, der4_x_star):
     assert checked > 100
 
 
-def test_step_size_warning(der4, ring4, caplog):
+def test_step_size_warning(der4, ring4):
     cfg = event_config(der4, ring4, h=0.05, t_end=0.5)
-    with caplog.at_level(logging.WARNING, logger="aggopt.engine"):
-        run(cfg, x_star=None)
-    assert any("delta/10" in record.message for record in caplog.records)
+    assert run(cfg, x_star=None).metrics.warnings == (
+        "step h=0.05 exceeds delta/10=0.01; the fast subsystem may be under-resolved",
+    )
+    assert run(replace(cfg, h=0.01), x_star=None).metrics.warnings == ()
 
 
-def test_scheme_warning_logged_and_recorded(der4, ring4, caplog):
+def test_scheme_warning_recorded(der4, ring4):
     schemes = (Event(10.0, 10.0),) + EVENT_SCHEMES[1:]
     cfg = event_config(der4, ring4, schemes=schemes, t_end=0.5)
-    with caplog.at_level(logging.WARNING, logger="aggopt.engine"):
-        result = run(cfg, x_star=None)
-    assert len(result.metrics.scheme_warnings) == 1
-    assert any("spectral" in record.message for record in caplog.records)
+    warnings = run(cfg, x_star=None).metrics.warnings
+    assert len(warnings) == 1
+    assert warnings[0].startswith("agent 0: beta2=10 ") and "spectral" in warnings[0]
+    # the scheme warnings come first, then the step's
+    warnings = run(replace(cfg, h=0.05), x_star=None).metrics.warnings
+    assert len(warnings) == 2
+    assert "spectral" in warnings[0] and "delta/10" in warnings[1]
+
+
+@pytest.mark.parametrize(
+    "x_star",
+    [np.array([300.0]), 300.0, np.array([188.0, np.nan, 236.2, 266.9])],
+    ids=["length_one", "scalar", "nan"],
+)
+def test_run_rejects_malformed_x_star(der4, ring4, x_star):
+    # checked before set-up: the Laplacian is never formed
+    with patch("aggopt.engine.laplacian", side_effect=AssertionError("set-up began")):
+        with pytest.raises(ValueError, match="x_star"):
+            run(event_config(der4, ring4, t_end=0.5), x_star=x_star)
 
 
 def test_trigger_scheme_ordering(der4, ring4, der4_x_star):
@@ -408,8 +423,12 @@ def test_run_divergence_raises(der4, ring4):
     with pytest.raises(
         DivergenceError,
         match=r"at t=10 \(step h=5\): eta\[agent 1, component 0\] = 1\.4.*; reduce the step size$",
-    ):
+    ) as raised:
         run(cfg, x_star=None)
+    # the run's warnings ride on the error, as no metrics are returned
+    assert raised.value.warnings == (
+        "step h=5 exceeds delta/10=0.01; the fast subsystem may be under-resolved",
+    )
     with pytest.raises(DivergenceError, match=r"; reduce the step size$"):
         run(replace(cfg, schemes=(Continuous(),) * 4), x_star=None)
 

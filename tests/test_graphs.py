@@ -40,6 +40,8 @@ def test_is_connected_cases():
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
+    with pytest.raises(ValueError, match="node labels must be integers"):
+        Graph.from_edges(3, [(0, 1.7), (1.2, 2)])  # int() would truncate to 0-1, 1-2
     with pytest.raises(ValueError):
         Graph(3, frozenset({(0, 5)}))
     with pytest.raises(ValueError):
@@ -53,6 +55,8 @@ def test_graph_validation():
     # duplicate unordered pairs collapse to one edge
     g = Graph.from_edges(2, [(0, 1), (1, 0)])
     assert len(g.edges) == 1
+    # numpy integers are labels too
+    assert Graph.from_edges(2, [(np.int64(1), np.int32(0))]) == g
 
 
 def test_lambda_bound_single_node():

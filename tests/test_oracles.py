@@ -241,6 +241,14 @@ def test_fit_decay_rate_rejects_a_single_time():
         fit_decay_rate(np.full(12, 3.0), np.exp(-np.arange(12.0)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fit_decay_rate_rejects_nonfinite_times(bad):
+    times = np.arange(12.0)
+    times[5] = bad
+    with pytest.raises(ValueError, match="times must be finite"):
+        fit_decay_rate(times, np.exp(-np.arange(12.0)))
+
+
 def _fitted_rate_and_bound(problem, x0):
     x_star = solve_kkt_quadratic(problem)
     traj = centralized_flow(problem, x0, h=1e-3, t_end=60.0, stride=10)

@@ -243,6 +243,11 @@ def test_zeno_lower_bound_rejects_degenerate_inputs():
         zeno_lower_bound(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         zeno_lower_bound(1.0, 0.0, -1.0, 1.0)
+    # an infinite bracket never narrows, and NaN fails every comparison
+    for args in ((1.0, 1.0, np.inf, 0.1), (1.0, 1.0, np.nan, 0.1), (1.0, 1.0, 1.0, np.nan),
+                 (np.inf, 1.0, 1.0, 0.1), (1.0, np.nan, 1.0, 0.1), (1.0, 1.0, 1.0, np.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            zeno_lower_bound(*args)
 
 
 def test_validate_scheme_standard_event_parameters():
