@@ -78,11 +78,18 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return resolve_config(_scenario_entries(args))
 
 
-def _check_positive_finite(value: float, flag: str) -> None:
-    """ValueError naming ``flag`` unless ``value`` is positive and finite;
-    called before any run starts, so nothing is computed or written."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{flag}: must be positive and finite, got {value:g}")
+def _positive_finite(value: float | str, flag: str) -> float:
+    """``value``, a number or the text of ``flag`` as typed, as a float;
+    ValueError naming the flag and quoting the value unless it is positive
+    and finite. Called before any run starts, so nothing is computed or
+    written."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise _UsageError(f"malformed {flag} value: {value!r}") from None
+    if not 0 < number < math.inf:
+        raise ValueError(f"{flag}: must be positive and finite, got {value!r}")
+    return number
 
 
 def _error_text(rel: float | None) -> str:
@@ -107,7 +114,7 @@ def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> d
     and summary.json into the scenario's output directory, and each warning
     of the run to stderr as ``warning: <text>``."""
     if compare_periodic is not None:
-        _check_positive_finite(compare_periodic, "--compare-periodic")
+        _positive_finite(compare_periodic, "--compare-periodic")
     cfg = to_sim_config(sc)
     problem, graph = cfg.problem, cfg.graph
     x_star = solve_kkt_quadratic(problem)
@@ -166,8 +173,11 @@ def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> d
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    period = args.compare_periodic
+    if period is not None:
+        period = _positive_finite(period, "--compare-periodic")
     sc = _load_scenario(args)
-    summary = run_scenario(sc, compare_periodic=args.compare_periodic)
+    summary = run_scenario(sc, compare_periodic=period)
     rel = _error_text(summary["relative_error"])
     print(f"wrote {sc.output_dir}/trajectory.csv, events.csv, summary.json")
     print(f"relative error vs oracle: {rel}; broadcasts: {summary['events']['total']}")
@@ -201,12 +211,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     entries = _scenario_entries(args)
     sc = resolve_config(entries)
-    try:
-        deltas = [float(v) for v in args.deltas.split(",")]
-    except ValueError:
-        raise _UsageError(f"malformed --deltas value: {args.deltas!r}") from None
+    deltas = [_positive_finite(v, "--deltas") for v in args.deltas.split(",")]
     for i, delta in enumerate(deltas):
-        _check_positive_finite(delta, "--deltas")
         if delta in deltas[:i]:
             raise ValueError(f"--deltas: {delta!r} is given more than once")
     base_dir = Path(sc.output_dir)
@@ -251,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p_run)
     p_run.add_argument(
         "--compare-periodic",
-        type=float,
         metavar="T",
         help="also run a periodic(T) variant and record the broadcast comparison",
     )

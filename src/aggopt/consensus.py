@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph, laplacian
+from .integrate import finite_vector
 from .problems import AggregativeProblem, sigma
 
 __all__ = [
@@ -47,7 +48,7 @@ def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> np.n
     Every agent broadcasts this state at t = 0, so all measurement errors
     start at zero.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = finite_vector("x0", x0, problem.dim)
     state = np.zeros((2, problem.n_agents, 2 * problem.m))
     state[0] = theta_stack(problem, x0, np.zeros((problem.n_agents, problem.m)))
     return state
@@ -81,8 +82,8 @@ def estimator_derivative(
     ``coupling`` is their block from :func:`broadcast_coupling`. The block
     is written into ``out`` when given.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if out is None:
         out = np.empty(coupling.shape)
     eta_dot = np.negative(eta, out=out[0])
@@ -112,8 +113,12 @@ def equilibrium_residual(
           with the states as broadcasts and delta = 1: the balance
           -eta - L eta - L w + Theta(x, eta1) and the consensus L eta.
     """
-    x = np.asarray(x, dtype=float)
     m = problem.m
+    x = finite_vector("x", x, problem.dim)
+    shape = (problem.n_agents, 2 * m)
+    for name, v in (("eta", eta), ("w", w)):
+        if np.shape(v) != shape:
+            raise ValueError(f"{name} has shape {np.shape(v)}, expected {shape}")
     eta1 = eta[:, :m]
     res_x = problem.network.drive(x, eta1, eta[:, m:])
     thetas = theta_stack(problem, x, eta1)

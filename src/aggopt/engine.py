@@ -11,16 +11,10 @@ loop advances everything, a span of grid steps at a time:
   1. advance (x, eta, w) by K steps of 4th order of :func:`closed_loop_rhs`
      with the broadcasts held (:func:`closed_loop_step`). The neighbor
      coupling reads broadcasts only, so it is computed once when some agent
-     broadcasts and held in between. For a :class:`aggopt.problems.Quadratic`
+     broadcasts and held in between. A :class:`aggopt.problems.Quadratic`
      network (agents that all declare ``LocalObjective.quadratic``, as the
-     dispatch agents do) a step is a per-agent affine map ``y+ = P y + Q b``
-     composed once per run from the model, with only ``b`` recomputed on
-     broadcast steps; it agrees with RK4 to rounding. The state j steps
-     after its anchor ``y_a`` is ``P^j y_a + S_j b``
-     (``S_j = sum_{i<j} P^i Q``), so the K states are two batched products
-     from the anchor. The anchor is the state at the last broadcast, or at
-     every ``SPAN_CAP``-th quiet step after it. Other networks take one RK4
-     step of the field per state;
+     dispatch agents do) takes the K states from their anchor with the
+     powers of its RK4 step map; other networks take one RK4 step per state;
   2. check the K new states at once: every agent's trigger at their grid
      times (the rule lives in :class:`aggopt.triggers.TriggerRule`), then
      that the states kept are finite
@@ -34,20 +28,18 @@ loop advances everything, a span of grid steps at a time:
 Each state is the one a step-by-step loop, checking after every step and
 re-anchoring by the same rule, computes, bit for bit: anchors fall at
 broadcasts and every ``SPAN_CAP`` quiet steps, not at span ends, so spans
-change no output. ``P^1 = P`` and ``S_1 = Q`` are used as formed, so a
-state one step from its anchor has the bits of ``P y + Q b``: runs in which
-some agent broadcasts at every step (continuous agents) keep the bits of a
-one-step map, and so does per-agent RK4. ``P^j`` and ``S_j`` take
-``2 SPAN_CAP N d^2`` floats (d: the largest dim_x, plus 4m; 12.8 MB at
-N = 1000, d = 5) and are formed as far as spans reach, after the map's
-check. The states before the first diverged one are finite, so the first
-broadcast among them is found exactly; if none comes first, the divergence
-check stops the run at that state. A span ends where some agent fires or
-where the step map re-anchors: the states come only up to the next anchor,
-so a span is at most ``SPAN_CAP`` steps, and one step for networks without
-a step map (local objectives not declared quadratic), where every state is
-its own anchor. Its requested length starts at the last gap between
-broadcasts and doubles while no agent fires.
+change no output. A state one step from its anchor has the bits of one
+step of the map, so runs in which some agent broadcasts at every step
+(continuous agents) keep the bits of a one-step map, as per-agent RK4
+does. The states before the first diverged one are finite, so the first
+broadcast among them is found exactly; if none comes first, the
+divergence check stops the run at that state. A span ends where some
+agent fires or where the step map re-anchors: the states come only up to
+the next anchor, so a span is at most ``SPAN_CAP`` steps, and one step
+for networks without a step map (local objectives not declared
+quadratic), where every state is its own anchor. Its requested length
+starts at the last gap between broadcasts and doubles while no agent
+fires.
 
 The estimator state, its broadcasts, their neighbor coupling and its
 derivative are (2, N, 2m) blocks (see :mod:`aggopt.consensus`). The
@@ -77,7 +69,7 @@ from .consensus import (
     theta_stack,
 )
 from .graphs import Graph, is_connected, lambda_bound, laplacian
-from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_step
+from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_powers, rk4_step
 from .oracles import fit_decay_rate, solve_kkt_quadratic
 from .problems import AggregativeProblem, Quadratic
 from .triggers import EventLog, TriggerRule, TriggerScheme, validate_scheme
@@ -94,8 +86,8 @@ __all__ = [
     "DivergenceError",
 ]
 
-# The step map re-anchors every SPAN_CAP quiet steps and keeps that many
-# powers of P; a span ends at the next anchor, so it is at most SPAN_CAP grid
+# The step map re-anchors every SPAN_CAP quiet steps and keeps that many of
+# its powers; a span ends at the next anchor, so it is at most SPAN_CAP grid
 # steps before the trigger rule and the divergence check look at its states.
 SPAN_CAP = 32
 
@@ -236,24 +228,19 @@ def closed_loop_step(
     after the last with ``coupling`` held. Each call continues from the last
     state the one before returned.
 
-    For a :class:`aggopt.problems.Quadratic` network RK4 on the per-agent
-    blocks ``A_i`` of :func:`_blocks` is exactly ``y+ = P y + Q b``, with
-    ``Z = h A_i``, ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
-    ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)`` formed once. ``b`` is
-    ``closed_loop_rhs`` at y = 0, from the model's offsets; only its
-    estimator derivative reads the coupling, and ``step`` re-evaluates that
-    part alone. The state j
-    steps after its anchor ``y_a`` is ``P^j y_a + S_j b``, with
-    ``S_j = sum_{i<j} P^i Q``: ``advance`` takes its rows from the anchor in
-    two batched products. The anchor is y, and every ``SPAN_CAP``-th state
-    after it becomes the next, so each state is the same whatever k the
-    calls ask for. ``P^1 = P`` and ``S_1 = Q`` are used as formed, so a state
-    one step from its anchor has the bits of one step of the map; the
-    higher powers are formed, once, as far as calls reach. ``advance``
-    keeps the states in the agents' gathered layout and scatters them into
-    flat rows once. Padded coordinates gather a zero after the state; their
-    rows and columns of ``A_i`` are zero, so they stay zero, and they are
-    never scattered.
+    For a :class:`aggopt.problems.Quadratic` network ``advance`` takes its
+    rows from the anchor in two batched products with the
+    :func:`aggopt.integrate.rk4_powers` of the per-agent blocks ``A_i`` of
+    :func:`_blocks`, formed once (``2 SPAN_CAP N d^2`` floats, d the largest
+    dim_x plus 4m: 12.8 MB at N = 1000, d = 5); it agrees with RK4 to
+    rounding. ``b`` is ``closed_loop_rhs`` at y = 0, from the model's
+    offsets; only its estimator derivative reads the coupling, and ``step``
+    re-evaluates that part alone. The anchor is y, and every
+    ``SPAN_CAP``-th state after it becomes the next, so each state is the
+    same whatever k the calls ask for. ``advance`` keeps the states
+    in the agents' gathered layout and scatters them into flat rows once.
+    Padded coordinates gather a zero after the state; their rows and columns
+    of ``A_i`` are zero, so they stay zero, and they are never scattered.
     The map is checked once against one ``rk4_step`` of ``closed_loop_rhs``
     (``ValueError`` naming "affine" if they differ), which catches an
     evaluator that is affine in name only, or a wrong composition; the
@@ -277,6 +264,7 @@ def closed_loop_step(
         return rk4_steps
 
     flat, a = _blocks(problem, delta)
+    powers, sums = rk4_powers(a, h, SPAN_CAP)
     shape = (2, problem.n_agents, 2 * problem.m)
     size = problem.dim + math.prod(shape)
     n_agents, d = flat.shape
@@ -285,28 +273,6 @@ def closed_loop_step(
     order[flat.ravel()] = np.arange(flat.size)
     order = order[:size]
     padded = np.zeros(size + 1)  # a flat state, then the pads' zero
-    z = h * a
-    eye = np.eye(d)
-    z2 = z @ z
-    z3 = z2 @ z
-    # rows (j - 1) d to j d of powers[i] are agent i's P^j, and of sums[i]
-    # its S_j, so that consecutive j are one (j d, d) matrix per agent
-    powers = np.empty((n_agents, SPAN_CAP * d, d))
-    sums = np.empty_like(powers)
-    p, q = powers[:, :d], sums[:, :d]
-    p[:] = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
-    q[:] = h * (eye + z / 2.0 + z2 / 6.0 + z3 / 24.0)
-    formed = 1
-
-    def form(j: int) -> None:
-        """Form the powers and sums up to j."""
-        nonlocal formed
-        for i in range(formed * d, j * d, d):
-            last = powers[:, i - d : i]
-            powers[:, i : i + d] = p @ last
-            sums[:, i : i + d] = sums[:, i - d : i] + last @ q
-        formed = j
-
     net = problem.network
     b = np.zeros(size + 1)  # b, then the pads' zero
     b_x, b_block = _split_state(b[:size], shape)
@@ -323,8 +289,6 @@ def closed_loop_step(
         def advance(k: int) -> np.ndarray:
             nonlocal anchor, j
             k = min(k, SPAN_CAP - j)
-            if j + k > formed:
-                form(j + k)
             rows = slice(j * d, (j + k) * d)
             ahead = powers[:, rows] @ anchor + sums[:, rows] @ gathered_b
             j += k
@@ -477,6 +441,10 @@ def consensus_error(
     problem: AggregativeProblem, x_samples: np.ndarray, eta_samples: np.ndarray
 ) -> np.ndarray:
     """max_i ||eta_i(t) - mean_j Theta_j(t)|| for every sample."""
+    if np.shape(x_samples)[-1:] != (problem.dim,):
+        raise ValueError(
+            f"x_samples has shape {np.shape(x_samples)}, expected a last axis of {problem.dim}"
+        )
     thetas = theta_stack(problem, x_samples, eta_samples[..., : problem.m])
     target = thetas.mean(axis=-2, keepdims=True)
     return np.linalg.norm(eta_samples - target, axis=-1).max(axis=-1)

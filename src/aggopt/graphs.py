@@ -35,6 +35,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_nodes, (int, np.integer)):
+            raise ValueError(f"n_nodes must be an integer, got {self.n_nodes!r}")
         if self.n_nodes < 1:
             raise ValueError("graph needs at least one node")
         for i, j in self.edges:
@@ -126,6 +128,8 @@ def lambda_bound(lap: np.ndarray) -> float:
 def random_connected_graph(n: int, seed: int) -> Graph:
     """Random connected graph: a random spanning tree plus each remaining
     edge independently with probability 0.2. Deterministic per (n, seed)."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)

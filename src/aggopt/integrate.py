@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DivergenceError", "rk4_step", "ensure_finite", "finite_vector"]
+__all__ = ["DivergenceError", "rk4_step", "rk4_powers", "ensure_finite", "finite_vector"]
 
 # Beyond this magnitude the trajectory is treated as diverged.
 STATE_LIMIT = 1e12
@@ -29,6 +29,34 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarr
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_powers(a: np.ndarray, h: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Powers of the RK4 step map of the held linear fields
+    ``y' = a[i] y + b_i``, for a stack ``a`` of (d, d) matrices with any
+    leading batch axes. One step of length h is exactly ``y+ = P y + Q b``,
+    with ``Z = h a``, ``P = I + Z + Z^2/2 + Z^3/6 + Z^4/24`` and
+    ``Q = h (I + Z/2 + Z^2/6 + Z^3/24)``; j steps reach ``P^j y + S_j b``,
+    ``S_j = sum_{l<j} P^l Q``. Rows (j - 1) d to j d of ``powers[i]`` and
+    ``sums[i]`` are ``P^j`` and ``S_j``, j = 1..count: ``P^1 = P`` and
+    ``S_1 = Q`` as above, so one step has their bits, then
+    ``P^j = P @ P^{j-1}`` and ``S_j = S_{j-1} + P^{j-1} @ Q``.
+    """
+    d = a.shape[-1]
+    z = h * a
+    eye = np.eye(d)
+    z2 = z @ z
+    z3 = z2 @ z
+    powers = np.empty((*a.shape[:-2], count * d, d))
+    sums = np.empty_like(powers)
+    p, q = powers[..., :d, :], sums[..., :d, :]
+    p[...] = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
+    q[...] = h * (eye + z / 2.0 + z2 / 6.0 + z3 / 24.0)
+    for i in range(d, count * d, d):
+        last = powers[..., i - d : i, :]
+        powers[..., i : i + d, :] = p @ last
+        sums[..., i : i + d, :] = sums[..., i - d : i, :] + last @ q
+    return powers, sums
 
 
 def ensure_finite(

@@ -208,11 +208,15 @@ def zeno_bound_constants(
     subsystem's coupling matrices. Per eigenvalue mu of L these split into
     the 2x2 blocks [[-1-mu, -mu], [mu, 0]] and [[-mu, -mu], [mu, 0]], whose
     norms grow with mu, so both are taken at L's largest eigenvalue. Requires
-    beta2_min < lam; m1 + m2 is then positive, so the inter-event bound exists,
-    but it holds for all time only for agents with beta2 = beta2_min.
+    0 < beta2_min < lam; m1 + m2 is then positive, so the inter-event bound
+    exists, but it holds for all time only for agents with beta2 = beta2_min.
     """
-    if beta2_min >= lam:
-        raise ValueError("requires beta2_min < lam")
+    if not 0 <= initial_deviation < math.inf:
+        raise ValueError(f"initial_deviation must be >= 0 and finite, got {initial_deviation!r}")
+    if not 0 < beta1_max < math.inf:
+        raise ValueError(f"beta1_max must be positive and finite, got {beta1_max!r}")
+    if not 0 < beta2_min < lam:
+        raise ValueError(f"beta2_min must lie in (0, lam) = (0, {lam:g}), got {beta2_min!r}")
     mu = float(np.linalg.eigvalsh(lap)[-1])
     drift_norm = float(np.linalg.norm([[-1.0 - mu, -mu], [mu, 0.0]], 2))
     inject_norm = float(np.linalg.norm([[-mu, -mu], [mu, 0.0]], 2))

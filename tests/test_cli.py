@@ -71,7 +71,7 @@ def refuse_to_run(*args, **kwargs):
 
 COMPARE_PERIODIC_CASES = [
     (entry, value) for entry in ("cli", "library") for value in ("inf", "-1", "0", "nan")
-]
+] + [("cli", "1e-400")]
 
 
 @pytest.mark.parametrize(
@@ -88,7 +88,7 @@ def test_compare_periodic_checked_before_any_run(tmp_path, capsys, monkeypatch, 
             "run", "--scenario", "der4", "--output", str(out), f"--compare-periodic={value}",
         ])
         assert code == 1
-        assert message in capsys.readouterr().err
+        assert f"{message}, got {value!r}" in capsys.readouterr().err
     else:
         sc = parse_config(f"scenario = der4\noutput = {out}\n")
         with pytest.raises(ValueError, match=message):
@@ -96,13 +96,15 @@ def test_compare_periodic_checked_before_any_run(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("deltas", ["0.1,inf", "0.1,0", "0.1,-0.2", "nan"])
+@pytest.mark.parametrize("deltas", ["0.1,inf", "0.1,0", "0.1,-0.2", "nan", "0.1,1e-400"])
 def test_sweep_deltas_checked_before_any_run(tmp_path, capsys, monkeypatch, deltas):
     monkeypatch.setattr(cli, "run", refuse_to_run)
     out = tmp_path / "sweep"
     code = run_cli(["sweep", "--scenario", "der4", f"--deltas={deltas}", "--output", str(out)])
     assert code == 1
-    assert "--deltas: must be positive and finite" in capsys.readouterr().err
+    # the rejected value as typed: 1e-400 parses to 0
+    typed = deltas.split(",")[-1]
+    assert f"--deltas: must be positive and finite, got {typed!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

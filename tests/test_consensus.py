@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from conftest import fd_gradient
+from conftest import fd_gradient, undeclared
 from scipy.linalg import expm
 
 from aggopt import (
     DerParameters,
     broadcast_coupling,
     build_equilibrium,
+    consensus_error,
     equilibrium_residual,
     estimator_derivative,
     from_der_parameters,
@@ -96,8 +97,10 @@ def test_estimator_derivative_consensus_equilibrium(ring4, der4):
 def test_estimator_derivative_requires_positive_delta(ring4):
     lap = laplacian(ring4)
     z = np.zeros((4, 2))
-    with pytest.raises(ValueError):
-        estimator_derivative(z, z, broadcast_coupling(lap, np.stack([z, z])), 0.0)
+    coupling = broadcast_coupling(lap, np.stack([z, z]))
+    for delta in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            estimator_derivative(z, z, coupling, delta)
 
 
 def test_two_node_linear_system_matches_matrix_exponential():
@@ -177,3 +180,35 @@ def test_equilibrium_residual_single_agent():
     expected = max(stationarity, float(np.linalg.norm(thetas[0] - eta_off[0])))
     got = equilibrium_residual(problem, g, x_star, eta_off, np.zeros((1, 2)))
     assert got == pytest.approx(expected, rel=1e-9)
+
+
+# each function's decision argument and a call with valid other arguments
+DECISION_CHECKS = {
+    "initial_estimator_state": ("x0", lambda problem, g, x: initial_estimator_state(problem, x)),
+    "equilibrium_residual": (
+        "x", lambda problem, g, x: equilibrium_residual(problem, g, x, *np.zeros((2, 4, 2))),
+    ),
+    "consensus_error": (
+        "x_samples",
+        lambda problem, g, x: consensus_error(problem, np.stack([x, x]), np.zeros((2, 4, 2))),
+    ),
+}
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+@pytest.mark.parametrize("x", [[5.0, 6.0, 3.0], [5.0, 6.0, 3.0, 4.0, 2.0]], ids=["short", "long"])
+@pytest.mark.parametrize("function", list(DECISION_CHECKS))
+def test_decision_arrays_must_match_the_problem(function, x, declared, der4, ring4):
+    # a short x left an agent without decisions and a long one was cut, both
+    # silently; undeclared agents raised their callable's IndexError
+    name, call = DECISION_CHECKS[function]
+    problem = der4 if declared else undeclared(der4)
+    with pytest.raises(ValueError, match=rf"^{name} has shape"):
+        call(problem, ring4, np.array(x))
+
+
+def test_equilibrium_residual_estimator_shapes(der4, ring4, der4_x_star):
+    block = np.zeros((4, 2))
+    for eta, w, name in ((block[:3], block, "eta"), (block, block[:, :1], "w")):
+        with pytest.raises(ValueError, match=rf"^{name} has shape"):
+            equilibrium_residual(der4, ring4, der4_x_star, eta, w)

@@ -41,7 +41,7 @@ from aggopt import (
 )
 from aggopt import engine
 from aggopt.engine import SPAN_CAP, _blocks, _state_entry, closed_loop_step
-from aggopt.integrate import ensure_finite, rk4_step
+from aggopt.integrate import ensure_finite, rk4_powers, rk4_step
 from aggopt.problems import (
     AggregativeProblem,
     DerParameters,
@@ -842,10 +842,32 @@ def test_advance_from_an_anchor_matches_one_step_maps(case, der4, vector3):
                 assert np.array_equal(rows[j], step(coupling, rows[j - 1])(1)[0])
 
 
+@pytest.mark.parametrize("batch", [(3, 2), ()], ids=["batched", "single"])
+def test_rk4_powers_step_and_recurrence(batch):
+    # one step P y + Q b is one RK4 step of y' = a y + b, to rounding of the
+    # increment; the higher powers and sums are their recurrence, bit for bit
+    rng = np.random.default_rng(3)
+    d, h, count = 4, 0.05, 6
+    a = rng.standard_normal((*batch, d, d))
+    powers, sums = rk4_powers(a, h, count)
+    assert powers.shape == sums.shape == (*batch, count * d, d)
+    p, q = powers[..., :d, :], sums[..., :d, :]
+    for index in np.ndindex(*batch):
+        y, b = rng.standard_normal((2, d))
+        want = rk4_step(lambda t, v: a[index] @ v + b, 0.0, y, h)
+        got = p[index] @ y + q[index] @ b
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want - y).max()
+    for i in range(d, count * d, d):
+        last = powers[..., i - d : i, :]
+        assert np.array_equal(powers[..., i : i + d, :], p @ last)
+        assert np.array_equal(sums[..., i : i + d, :], sums[..., i - d : i, :] + last @ q)
+
+
 @pytest.mark.parametrize("case", ["der4", "dispatch15", "vector3"])
 def test_one_step_from_an_anchor_is_one_step_of_the_map(case, der4, vector3):
     # P^1 = P and S_1 = Q are used as formed: per agent y+ = P y + Q b,
-    # bit for bit, with P, Q and b as the closed_loop_step docstring spells them
+    # bit for bit, with P and Q as rk4_powers's docstring spells them, here
+    # spelled again as an independent reference
     problem = {"der4": der4, "vector3": vector3}.get(case) or make_dispatch_instance(15, 1)
     h, delta = 1e-3, 0.1
     flat, a = _blocks(problem, delta)

@@ -52,6 +52,13 @@ def test_graph_validation():
         Graph(0, frozenset())
     with pytest.raises(ValueError, match="n must be positive"):
         random_connected_graph(0, 1)
+    # a fractional node count built a graph that only laplacian refused
+    with pytest.raises(ValueError, match="n_nodes must be an integer"):
+        Graph(2.5, frozenset())
+    with pytest.raises(ValueError, match="n must be an integer"):
+        random_connected_graph(3.0, 1)
+    assert Graph(np.int64(2), frozenset({(0, 1)})).n_nodes == 2
+    assert random_connected_graph(np.int32(3), 1).n_nodes == 3
     # duplicate unordered pairs collapse to one edge
     g = Graph.from_edges(2, [(0, 1), (1, 0)])
     assert len(g.edges) == 1

@@ -309,8 +309,22 @@ def test_zeno_bound_constants_always_give_positive_root():
 
 def test_zeno_bound_constants_require_margin():
     lap = laplacian(ring(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="beta2_min"):
         zeno_bound_constants(lap, 1.0, 10.0, beta2_min=1.5, lam=1.0)
+    # each of these gave constants, negative, infinite or NaN, and no error
+    for name, deviation, beta1_max, beta2_min in (
+        ("initial_deviation", -5.0, 10.0, 0.01),
+        ("initial_deviation", np.nan, 10.0, 0.01),
+        ("initial_deviation", np.inf, 10.0, 0.01),
+        ("beta1_max", 3.0, -10.0, 0.01),
+        ("beta1_max", 3.0, 0.0, 0.01),
+        ("beta1_max", 3.0, np.inf, 0.01),
+        ("beta2_min", 3.0, 10.0, np.nan),
+        ("beta2_min", 3.0, 10.0, -1.0),
+        ("beta2_min", 3.0, 10.0, 0.0),
+    ):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            zeno_bound_constants(lap, deviation, beta1_max, beta2_min, lam=1.0)
 
 
 def dense_coupling_norms(lap, m):
