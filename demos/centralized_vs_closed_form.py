@@ -20,7 +20,7 @@ from aggopt import (
 problem = make_der_instance()
 x_star = solve_kkt_quadratic(problem)
 trajectory = centralized_flow(problem, np.array([5.0, 6.0, 3.0, 8.0]), h=1e-3, t_end=60.0)
-gap = np.linalg.norm(trajectory.final - x_star)
+gap = np.linalg.norm(trajectory.x[-1] - x_star)
 print("four-unit preset: flow endpoint vs closed form:", f"{gap:.3e}")
 
 errors = np.linalg.norm(trajectory.x - x_star, axis=1)
@@ -44,5 +44,5 @@ for seed in range(5):
         t_end=float(np.log(np.linalg.norm(reference) * 1e9) / eigs[0]),
         stride=1000,
     )
-    rel = np.linalg.norm(flow.final - reference) / np.linalg.norm(reference)
+    rel = np.linalg.norm(flow.x[-1] - reference) / np.linalg.norm(reference)
     print(f"  ({n}, {seed}): {rel:.3e}")

@@ -70,7 +70,7 @@ from .consensus import (
 )
 from .graphs import Graph, is_connected, lambda_bound, laplacian
 from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_powers, rk4_step
-from .oracles import fit_decay_rate, solve_kkt_quadratic
+from .oracles import fit_decay_rate
 from .problems import AggregativeProblem, Quadratic
 from .triggers import EventLog, TriggerRule, TriggerScheme, validate_scheme
 
@@ -117,6 +117,11 @@ class SimConfig:
             )
         if not all(0 < v < np.inf for v in (self.delta, self.h, self.t_end)):
             raise ValueError("delta, h, and t_end must be positive and finite")
+        if not math.isfinite(float(self.t_end) / float(self.h)):
+            raise ValueError(
+                f"the step count t_end/h = {self.t_end:g}/{self.h:g} overflows; "
+                "shorten the horizon (tend) or lengthen the step (step)"
+            )
         if not is_connected(self.graph):
             raise ValueError("the communication graph must be connected")
         if len(self.schemes) != self.problem.n_agents:
@@ -129,7 +134,6 @@ class SimConfig:
 @dataclass(eq=False)
 class SimMetrics:
     final_x: np.ndarray
-    x_star: np.ndarray | None
     relative_error: float | None
     decision_error: np.ndarray | None   # per recorded sample
     consensus_error: np.ndarray         # per recorded sample
@@ -244,7 +248,8 @@ def closed_loop_step(
     The map is checked once against one ``rk4_step`` of ``closed_loop_rhs``
     (``ValueError`` naming "affine" if they differ), which catches an
     evaluator that is affine in name only, or a wrong composition; the
-    model has checked each agent's declaration already. Other networks
+    model has checked each agent's declaration already. A map or reference
+    step that overflows raises ``DivergenceError`` naming h instead. Other networks
     take that ``rk4_step`` for every state, each its own anchor, so
     ``advance`` returns one row.
     """
@@ -264,7 +269,6 @@ def closed_loop_step(
         return rk4_steps
 
     flat, a = _blocks(problem, delta)
-    powers, sums = rk4_powers(a, h, SPAN_CAP)
     shape = (2, problem.n_agents, 2 * problem.m)
     size = problem.dim + math.prod(shape)
     n_agents, d = flat.shape
@@ -302,11 +306,17 @@ def closed_loop_step(
     # numpy.random or a new ufunc would add resident memory
     irregular = np.log(np.arange(2.0, 2 * size - problem.dim + 2.0)) - 2.0
     state, coupling = _split_state(irregular, shape)
-    want = rk4_step(partial(rhs, coupling), 0.0, state, h)
+    # a step far too long overflows the map (which step reads) or the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers, sums = rk4_powers(a, h, SPAN_CAP)
+        want = rk4_step(partial(rhs, coupling), 0.0, state, h)
+        got = step(coupling, state)(1)[0]
+    if not all(np.isfinite(v).all() for v in (powers, sums, want, got)):
+        raise DivergenceError(f"the RK4 step map overflows at step h={h:.6g}; reduce the step size")
     # rounding moves entries by a few 2^-53 of the state and the increment; a
     # wrong map misses by a share of the increment, which shrinks with h
     tol = 2.0**-40 * np.abs(want - state).max() + 2.0**-46 * np.abs(state).max()
-    if not (np.abs(step(coupling, state)(1)[0] - want).max() <= tol):
+    if not (np.abs(got - want).max() <= tol):
         raise ValueError(
             f"{type(problem.network).__name__} declares an affine closed loop, but one "
             "RK4 step of closed_loop_rhs disagrees with the step map composed from its model"
@@ -317,10 +327,10 @@ def closed_loop_step(
 def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     """Execute one closed-loop run; see the module docstring for semantics.
 
-    ``x_star``, a finite (dim,) vector, skips the oracle solve; when omitted
-    the quadratic stationarity solver is attempted and decision-error
-    metrics are dropped if the instance is not quadratic. The warnings are
-    ``metrics.warnings``, or a raised ``DivergenceError``'s ``warnings``.
+    ``x_star``, a finite (dim,) vector, is the reference optimum of the
+    decision error, relative error and decay fit; without it those metrics
+    are None. The warnings are ``metrics.warnings``, or a raised
+    ``DivergenceError``'s ``warnings``.
     """
     problem, g = cfg.problem, cfg.graph
     n_agents, n = problem.n_agents, problem.dim
@@ -355,44 +365,44 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     rec_y = np.empty((n_records, y.size))
     rec_hats = np.empty((n_records, *hats.shape))
     rec_y[0], rec_hats[0] = y, hats
-    # last set-up action, so the RK4 step of the map's check marks its end
-    step = closed_loop_step(problem, delta, h)
-    advance = step(broadcast_coupling(lap, hats), y)
-    k = 0  # grid step reached
-    span = n_steps  # steps asked of advance, which stops at the next anchor
-    while k < n_steps:
-        rows = advance(min(span, n_steps - k))
-        size = len(rows)
-        times = grid[k + 1 : k + size + 1]
-        # grid time n_steps ends the run without a trigger check
-        checked = min(size, n_steps - 1 - k)
-        fired = None
-        if checked:
-            estimators = rows[:checked, n:].reshape(checked, *hats.shape)
-            fired = rule.fire(times[:checked], estimators, hats)
-        kept = size if fired is None else fired[0] + 1
-        # after the trigger rule: a broadcast before a diverged state changes it
-        try:
-            ensure_finite(rows[:kept], times, h, entry, rule.advice)
-        except DivergenceError as exc:
-            exc.warnings = warnings
-            raise
-        first = -(k + 1) % stride
-        if first < kept:
-            recorded = rows[first:kept:stride]
-            slot = (k + 1 + first) // stride
-            rec_y[slot : slot + len(recorded)] = recorded
-            rec_hats[slot : slot + len(recorded)] = hats
-        k += kept
-        y = rows[kept - 1]
-        if fired is None:
-            span = 2 * size
-            continue
-        span = k - broadcasts[-1][0]
-        row, mask = fired
-        hats[:, mask] = estimators[row][:, mask]
+    try:
+        # last set-up action, so the RK4 step of the map's check marks its end
+        step = closed_loop_step(problem, delta, h)
         advance = step(broadcast_coupling(lap, hats), y)
-        broadcasts.append((k, mask))
+        k = 0  # grid step reached
+        span = n_steps  # steps asked of advance, which stops at the next anchor
+        while k < n_steps:
+            rows = advance(min(span, n_steps - k))
+            size = len(rows)
+            times = grid[k + 1 : k + size + 1]
+            # grid time n_steps ends the run without a trigger check
+            checked = min(size, n_steps - 1 - k)
+            fired = None
+            if checked:
+                estimators = rows[:checked, n:].reshape(checked, *hats.shape)
+                fired = rule.fire(times[:checked], estimators, hats)
+            kept = size if fired is None else fired[0] + 1
+            # after the trigger rule: a broadcast before a diverged state changes it
+            ensure_finite(rows[:kept], times, h, entry, rule.advice)
+            first = -(k + 1) % stride
+            if first < kept:
+                recorded = rows[first:kept:stride]
+                slot = (k + 1 + first) // stride
+                rec_y[slot : slot + len(recorded)] = recorded
+                rec_hats[slot : slot + len(recorded)] = hats
+            k += kept
+            y = rows[kept - 1]
+            if fired is None:
+                span = 2 * size
+                continue
+            span = k - broadcasts[-1][0]
+            row, mask = fired
+            hats[:, mask] = estimators[row][:, mask]
+            advance = step(broadcast_coupling(lap, hats), y)
+            broadcasts.append((k, mask))
+    except DivergenceError as exc:
+        exc.warnings = warnings
+        raise
 
     rec_y[-1], rec_hats[-1] = y, hats
     rec_t = grid[rec_steps]
@@ -401,11 +411,6 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     events = EventLog(times=tuple(grid[steps[mask]] for mask in masks.T))
     final_x = y[:n].copy()
 
-    if x_star is None:
-        try:
-            x_star = solve_kkt_quadratic(problem)
-        except ValueError:
-            x_star = None
     decision_error = None
     relative_error = None
     fitted = None
@@ -421,13 +426,13 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
 
     metrics = SimMetrics(
         final_x=final_x,
-        x_star=x_star,
         relative_error=relative_error,
         decision_error=decision_error,
         consensus_error=consensus_error(problem, rec_x, rec_estimator[:, 0]),
         fitted_decay_rate=fitted,
-        broadcast_counts=events.counts,
-        min_interevent=events.min_intervals(),
+        broadcast_counts=masks.sum(axis=0),
+        # smallest gap between an agent's broadcasts; inf with fewer than two
+        min_interevent=np.array([np.diff(t).min(initial=np.inf) for t in events.times]),
         lambda_bound=lam,
         warnings=warnings,
     )

@@ -59,13 +59,20 @@ class Graph:
         return cls(n_nodes, frozenset(norm))
 
 
+def _check_count(n: int) -> None:
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+
+
 def path(n: int) -> Graph:
     """Path graph 0-1-...-(n-1)."""
+    _check_count(n)
     return Graph(n, frozenset((k, k + 1) for k in range(n - 1)))
 
 
 def ring(n: int) -> Graph:
     """Cycle graph on n >= 3 nodes."""
+    _check_count(n)
     if n < 3:
         raise ValueError("a ring needs at least 3 nodes; use path() for fewer")
     edges = {(k, k + 1) for k in range(n - 1)}
@@ -128,8 +135,7 @@ def lambda_bound(lap: np.ndarray) -> float:
 def random_connected_graph(n: int, seed: int) -> Graph:
     """Random connected graph: a random spanning tree plus each remaining
     edge independently with probability 0.2. Deterministic per (n, seed)."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
+    _check_count(n)
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)

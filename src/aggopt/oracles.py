@@ -32,10 +32,6 @@ class CentralizedTrajectory:
     times: np.ndarray  # (K,)
     x: np.ndarray      # (K, n)
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.x[-1]
-
 
 def solve_kkt_quadratic(problem: AggregativeProblem) -> np.ndarray:
     """Unique minimizer of a strictly convex quadratic instance.

@@ -60,20 +60,8 @@ class EventLog:
     times: tuple[np.ndarray, ...]
 
     @property
-    def counts(self) -> np.ndarray:
-        return np.array([t.size for t in self.times])
-
-    @property
     def total(self) -> int:
-        return int(self.counts.sum())
-
-    def min_intervals(self) -> np.ndarray:
-        """Smallest gap between consecutive events per agent (inf if < 2 events)."""
-        out = np.full(len(self.times), np.inf)
-        for i, t in enumerate(self.times):
-            if t.size >= 2:
-                out[i] = float(np.diff(t).min())
-        return out
+        return sum(t.size for t in self.times)
 
 
 class TriggerRule:

@@ -100,7 +100,7 @@ def dispatch15():
 
 def test_criterion_1_oracle_equivalence(der4, der4_x_star):
     traj = centralized_flow(der4, X0, h=1e-3, t_end=60.0, stride=100)
-    worst = rel_err(traj.final, der4_x_star)
+    worst = rel_err(traj.x[-1], der4_x_star)
     assert worst <= 1e-5
     for seed in range(10):
         n = 2 + seed % 5
@@ -111,7 +111,7 @@ def test_criterion_1_oracle_equivalence(der4, der4_x_star):
             problem, np.zeros(n), h=0.5 / eigs[-1],
             t_end=float(np.log(np.linalg.norm(x_star) * 1e9) / eigs[0]), stride=1000,
         )
-        err = rel_err(flow.final, x_star)
+        err = rel_err(flow.x[-1], x_star)
         worst = max(worst, err)
         assert err <= 1e-5
     report(1, "oracle equivalence", f"worst relative error {worst:.2e} <= 1e-5")
@@ -210,10 +210,9 @@ def test_criterion_4_event_count_robust_to_rounding_perturbations(der4, ring4, d
 
 
 def test_criterion_5_zeno_exclusion(der4, ring4, der4_x_star, event200, event20, dispatch15):
-    logs = [event200.events, event20.events, dispatch15[3].events]
-    for log in logs:
-        assert np.all(np.isfinite(log.counts))
-        finite = log.min_intervals()
+    for metrics in (event200.metrics, event20.metrics, dispatch15[3].metrics):
+        assert np.all(np.isfinite(metrics.broadcast_counts))
+        finite = metrics.min_interevent
         finite = finite[np.isfinite(finite)]
         assert np.all(finite > 0)
     cases = [(1.0, 0.0, 1.0, 0.0, 1.0), (1.5, 0.5, 1.0, 0.0, 0.5)]
@@ -247,10 +246,10 @@ def test_criterion_5_zeno_exclusion(der4, ring4, der4_x_star, event200, event20,
         lap, deviation, max(s.beta1 for s in EVENT_SCHEMES), beta2.min(), lambda_bound(lap)
     )
     bounds = np.array([zeno_lower_bound(m1, m2, s.beta1, s.beta2) for s in EVENT_SCHEMES])
-    gaps20 = event20.events.min_intervals()
+    gaps20 = event20.metrics.min_interevent
     assert np.all(gaps20 >= bounds)
     slowest = beta2 == beta2.min()
-    gaps200 = event200.events.min_intervals()[slowest]
+    gaps200 = event200.metrics.min_interevent[slowest]
     assert np.all(gaps200 >= bounds[slowest])
     report(
         5, "no event accumulation",

@@ -465,6 +465,21 @@ assert "logging" not in sys.modules, "aggopt.cli run loaded logging"
     assert proc.stderr.startswith("warning: step h=0.05 exceeds delta/10")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_step_count_exits_one(tmp_path, capsys):
+    # each value is positive and finite; only the step count overflows
+    code = run_cli([
+        "run", "--scenario", "der4", "--tend", "1e300", "--step", "1e-300",
+        "--output", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the step count t_end/h = 1e+300/1e-300 overflows; "
+        "shorten the horizon (tend) or lengthen the step (step)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def _divergence_stderr(tmp_path, capsys, flags):
     code = run_cli(["run", "--scenario", "der4", *flags, "--output", str(tmp_path / "boom")])
     assert code == 2

@@ -39,7 +39,7 @@ from aggopt import (
     theta_stack,
     with_frozen_decisions,
 )
-from aggopt import engine
+from aggopt import cli, engine
 from aggopt.engine import SPAN_CAP, _blocks, _state_entry, closed_loop_step
 from aggopt.integrate import ensure_finite, rk4_powers, rk4_step
 from aggopt.problems import (
@@ -146,6 +146,10 @@ def test_config_validation(der4, ring4):
             event_config(der4, ring4, **bad)
     with pytest.raises(ValueError, match="connected"):
         event_config(der4, Graph.from_edges(4, [(0, 1), (2, 3)]))
+    # each finite and positive, but too many steps to count
+    overflow = r"t_end/h = 1e\+300/1e-300 overflows; .*\(tend\).*\(step\)"
+    with pytest.raises(ValueError, match=overflow):
+        event_config(der4, ring4, t_end=1e300, h=1e-300)
 
 
 def test_run_basic_structure(der4, ring4, der4_x_star):
@@ -164,10 +168,38 @@ def test_run_basic_structure(der4, ring4, der4_x_star):
     for times in result.events.times:
         assert np.all(np.diff(times) > 0)
         assert times[0] == 0.0  # forced broadcast at the start
-    assert np.all(result.events.counts >= 1)
+    assert np.all(result.metrics.broadcast_counts >= 1)
     intervals = result.metrics.min_interevent
     assert np.all(intervals[np.isfinite(intervals)] >= cfg.h - 1e-12)
     assert result.metrics.lambda_bound == pytest.approx(1.0, abs=1e-9)
+
+
+def test_run_without_x_star_solves_nothing(der4, ring4, monkeypatch):
+    # no reference optimum: the metrics that need one are None
+    def refuse(problem):
+        raise AssertionError("run solved for an optimum")
+
+    monkeypatch.setattr("aggopt.oracles.solve_kkt_quadratic", refuse)
+    metrics = run(event_config(der4, ring4, t_end=1.0)).metrics
+    assert metrics.decision_error is None and metrics.relative_error is None
+    assert metrics.fitted_decay_rate is None
+    assert not hasattr(engine, "solve_kkt_quadratic")
+
+
+@pytest.mark.parametrize(
+    "schemes",
+    [(Periodic(0.02),) * 4, EVENT_SCHEMES[:3] + (Event(1e6, 0.01),)],
+    ids=["periodic", "event"],
+)
+def test_broadcast_statistics_are_those_of_the_event_times(schemes, der4, ring4):
+    result = run(event_config(der4, ring4, t_end=2.0, schemes=schemes))
+    times = result.events.times
+    assert np.array_equal(result.metrics.broadcast_counts, [t.size for t in times])
+    gaps = [np.diff(t).min() if t.size > 1 else np.inf for t in times]
+    assert np.array_equal(result.metrics.min_interevent, gaps)
+    assert result.events.total == sum(t.size for t in times)
+    # the event case's last agent broadcasts only at t = 0, so it has no gap
+    assert np.isinf(gaps[-1]) == isinstance(schemes[-1], Event)
 
 
 def test_run_deterministic(der4, ring4, der4_x_star):
@@ -264,8 +296,8 @@ def test_trigger_scheme_ordering(der4, ring4, der4_x_star):
     res_evt = run(event_config(der4, ring4, **horizon), der4_x_star)
     assert res_cont.events.total > res_per.events.total > res_evt.events.total
     # continuous fires every grid point, periodic exactly every T
-    assert np.all(res_cont.events.counts == 4000)
-    assert np.all(res_per.events.counts == 1000)
+    assert np.all(res_cont.metrics.broadcast_counts == 4000)
+    assert np.all(res_per.metrics.broadcast_counts == 1000)
     # periodic inter-event gaps equal T within one grid step
     per_intervals = res_per.metrics.min_interevent
     assert np.allclose(per_intervals, 0.02, atol=0.005 + 1e-12)
@@ -301,7 +333,6 @@ def test_frozen_decisions_keep_x_constant(der4, ring4):
     )
     result = run(cfg, x_star=None)
     assert np.allclose(result.x, X0, atol=1e-14)
-    assert result.metrics.x_star is None
     assert result.metrics.decision_error is None
 
 
@@ -1040,6 +1071,21 @@ def test_closed_loop_step_rejects_false_affine_claim(network, der4):
             closed_loop_step(problem, 0.1, h)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flags, h",
+    [(["--delta", "1e300"], "1e+298"), (["--tend", "20", "--step", "1e3"], "1000")],
+    ids=["huge_delta", "huge_step"],
+)
+def test_overflowing_step_map_is_a_step_size_error(flags, h, tmp_path, capsys):
+    # huge_delta overflows P itself, huge_step only P's higher powers: both
+    # are step-size problems, not false affine claims, with no numpy warning
+    code = cli.main(["run", "--scenario", "der4", *flags, "--output", str(tmp_path / "out")])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: the RK4 step map overflows at step h={h}; reduce the step size"]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n_agents=st.integers(2, 12),
@@ -1088,6 +1134,6 @@ def test_vector_valued_agents_converge(vector3):
     x_star = solve_kkt_quadratic(vector3)
     assert np.allclose(x_star, closed_form, rtol=0, atol=1e-12)
     flow = centralized_flow(vector3, np.zeros(vector3.dim), 0.01, 30.0)
-    assert np.abs(flow.final - closed_form).max() <= 1e-7
+    assert np.abs(flow.x[-1] - closed_form).max() <= 1e-7
     result = run(vector_config(vector3, h=0.002), x_star=x_star)
     assert result.metrics.relative_error <= 5e-3

@@ -57,6 +57,11 @@ def test_graph_validation():
         Graph(2.5, frozenset())
     with pytest.raises(ValueError, match="n must be an integer"):
         random_connected_graph(3.0, 1)
+    # a float count, even a whole one, is refused by name before range() sees it
+    for bad in (lambda: ring(3.0), lambda: ring(np.float64(4.0)), lambda: path(2.5)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            bad()
+    assert ring(np.int64(4)) == ring(4) and path(np.int32(3)) == path(3)
     assert Graph(np.int64(2), frozenset({(0, 1)})).n_nodes == 2
     assert random_connected_graph(np.int32(3), 1).n_nodes == 3
     # duplicate unordered pairs collapse to one edge

@@ -126,7 +126,7 @@ def test_centralized_flow_stationary_at_optimum(der4, der4_x_star):
 
 def test_centralized_flow_reaches_oracle(der4, der4_x_star):
     traj = centralized_flow(der4, np.array([5.0, 6.0, 3.0, 8.0]), h=1e-3, t_end=60.0)
-    assert np.linalg.norm(traj.final - der4_x_star) <= 1e-6
+    assert np.linalg.norm(traj.x[-1] - der4_x_star) <= 1e-6
 
 
 def test_centralized_flow_error_monotone(der4, der4_x_star):
@@ -290,4 +290,4 @@ def test_flow_endpoint_matches_kkt_dispatch(seed):
     h = 0.5 / eigs[-1]
     t_end = float(np.log(np.linalg.norm(x_star) * 1e9) / eigs[0])
     traj = centralized_flow(problem, np.zeros(n), h=h, t_end=t_end, stride=1000)
-    assert rel_err(traj.final, x_star) <= 1e-5
+    assert rel_err(traj.x[-1], x_star) <= 1e-5

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from aggopt import Event, SimConfig, make_der_instance, path, ring, run, with_frozen_decisions
+from aggopt import (
+    Event,
+    SimConfig,
+    make_der_instance,
+    path,
+    ring,
+    run,
+    solve_kkt_quadratic,
+    with_frozen_decisions,
+)
 from aggopt.output import trajectory_header, write_trajectory_csv
 
 
@@ -33,8 +42,9 @@ def test_trajectory_csv_matches_per_value_formatting(tmp_path, case, vector3):
         problem=problem, graph=graph, delta=0.1, h=0.001, t_end=0.5, x0=x0,
         schemes=schemes, output_stride=7,
     )
-    result = run(cfg)
-    assert (result.metrics.decision_error is None) == (case == "frozen_decisions")
+    x_star = None if case == "frozen_decisions" else solve_kkt_quadratic(problem)
+    result = run(cfg, x_star=x_star)
+    assert (result.metrics.decision_error is None) == (x_star is None)
     csv = tmp_path / "trajectory.csv"
     write_trajectory_csv(csv, problem, result)
     assert csv.read_bytes() == reference_trajectory_csv(problem, result).encode()

@@ -353,10 +353,6 @@ def test_zeno_bound_constants_match_dense_norms(graph, m):
     assert got == pytest.approx((m1, m2), rel=1e-9)
 
 
-def test_event_log_counts_and_intervals():
+def test_event_log_total():
     log = EventLog(times=(np.array([0.0, 0.5, 1.5]), np.array([0.0])))
-    assert np.array_equal(log.counts, [3, 1])
-    assert log.total == 4
-    intervals = log.min_intervals()
-    assert intervals[0] == pytest.approx(0.5)
-    assert np.isinf(intervals[1])
+    assert log.total == 4 and isinstance(log.total, int)
