@@ -15,7 +15,6 @@ from aggopt import (
     Continuous,
     DerParameters,
     SimConfig,
-    broadcast_coupling,
     estimator_derivative,
     from_der_parameters,
     initial_estimator_state,
@@ -57,7 +56,7 @@ thetas = theta_stack(frozen2, np.array([5.0, 6.0]), state[0, :, :1])
 
 def rhs(t, z):
     block = z.reshape(state.shape)
-    return estimator_derivative(block[0], thetas, broadcast_coupling(lap, block), delta).ravel()
+    return estimator_derivative(block[0], thetas, lap @ block, delta).ravel()
 
 
 lap2 = np.kron(lap, np.eye(2))

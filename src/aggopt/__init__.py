@@ -10,7 +10,6 @@ event-triggered broadcasts with exponentially decaying thresholds.
 """
 
 from .consensus import (
-    broadcast_coupling,
     build_equilibrium,
     equilibrium_residual,
     estimator_derivative,

@@ -28,7 +28,6 @@ from .problems import AggregativeProblem, sigma
 __all__ = [
     "theta_stack",
     "initial_estimator_state",
-    "broadcast_coupling",
     "estimator_derivative",
     "equilibrium_residual",
     "build_equilibrium",
@@ -54,16 +53,6 @@ def initial_estimator_state(problem: AggregativeProblem, x0: np.ndarray) -> np.n
     return state
 
 
-def broadcast_coupling(lap: np.ndarray, hats: np.ndarray) -> np.ndarray:
-    """The neighbor sums of the PI estimator, ``lap @ hats`` for the
-    (2, N, 2m) broadcast block: plane 0 is L hat_eta, plane 1 is L hat_w.
-
-    Row i is sum_j in N_i (hat_i - hat_j). They read broadcast values only,
-    so they stay fixed until some agent broadcasts again.
-    """
-    return lap @ hats
-
-
 def estimator_derivative(
     eta: np.ndarray,
     thetas: np.ndarray,
@@ -79,8 +68,10 @@ def estimator_derivative(
     delta * w_dot_i   =  sum_j in N_i (hat_eta_i - hat_eta_j)
 
     The neighbor sums use broadcast values only, never true states;
-    ``coupling`` is their block from :func:`broadcast_coupling`. The block
-    is written into ``out`` when given.
+    ``coupling`` is their block ``lap @ hats`` for the (2, N, 2m)
+    broadcast block ``hats``: row i of each plane is
+    sum_j in N_i (hat_i - hat_j), fixed until some agent broadcasts again.
+    The block is written into ``out`` when given.
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -122,9 +113,7 @@ def equilibrium_residual(
     eta1 = eta[:, :m]
     res_x = problem.network.drive(x, eta1, eta[:, m:])
     thetas = theta_stack(problem, x, eta1)
-    res_eta, res_w = estimator_derivative(
-        eta, thetas, broadcast_coupling(laplacian(g), np.stack([eta, w])), 1.0
-    )
+    res_eta, res_w = estimator_derivative(eta, thetas, laplacian(g) @ np.stack([eta, w]), 1.0)
     return float(max(np.linalg.norm(res_x), np.linalg.norm(res_eta), np.linalg.norm(res_w)))
 
 

@@ -62,14 +62,9 @@ from typing import Callable
 
 import numpy as np
 
-from .consensus import (
-    broadcast_coupling,
-    estimator_derivative,
-    initial_estimator_state,
-    theta_stack,
-)
+from .consensus import estimator_derivative, initial_estimator_state, theta_stack
 from .graphs import Graph, is_connected, lambda_bound, laplacian
-from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_powers, rk4_step
+from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_powers, rk4_step, step_count
 from .oracles import fit_decay_rate
 from .problems import AggregativeProblem, Quadratic
 from .triggers import EventLog, TriggerRule, TriggerScheme, validate_scheme
@@ -115,19 +110,13 @@ class SimConfig:
                 f"graph has {self.graph.n_nodes} nodes but the problem has "
                 f"{self.problem.n_agents} agents"
             )
-        if not all(0 < v < np.inf for v in (self.delta, self.h, self.t_end)):
-            raise ValueError("delta, h, and t_end must be positive and finite")
-        if not math.isfinite(float(self.t_end) / float(self.h)):
-            raise ValueError(
-                f"the step count t_end/h = {self.t_end:g}/{self.h:g} overflows; "
-                "shorten the horizon (tend) or lengthen the step (step)"
-            )
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
+        step_count(self.t_end, self.h, self.output_stride, "output_stride")
         if not is_connected(self.graph):
             raise ValueError("the communication graph must be connected")
         if len(self.schemes) != self.problem.n_agents:
             raise ValueError("one trigger scheme per agent is required")
-        if not (isinstance(self.output_stride, (int, np.integer)) and self.output_stride >= 1):
-            raise ValueError("output_stride must be a positive integer")
         finite_vector("x0", self.x0, self.problem.dim)
 
 
@@ -186,8 +175,8 @@ def closed_loop_rhs(
     y: np.ndarray,
 ) -> np.ndarray:
     """Derivative of the flat state ``y`` with broadcasts held fixed, which
-    the (2, N, 2m) ``coupling`` (from
-    :func:`aggopt.consensus.broadcast_coupling`) carries. ``t`` is unused
+    the (2, N, 2m) ``coupling`` ``lap @ hats`` carries (see
+    :func:`aggopt.consensus.estimator_derivative`). ``t`` is unused
     but lets ``rk4_step`` integrate it with the other arguments bound."""
     m = problem.m
     x, (eta, _) = _split_state(y, coupling.shape)
@@ -237,21 +226,23 @@ def closed_loop_step(
     :func:`aggopt.integrate.rk4_powers` of the per-agent blocks ``A_i`` of
     :func:`_blocks`, formed once (``2 SPAN_CAP N d^2`` floats, d the largest
     dim_x plus 4m: 12.8 MB at N = 1000, d = 5); it agrees with RK4 to
-    rounding. ``b`` is ``closed_loop_rhs`` at y = 0, from the model's
-    offsets; only its estimator derivative reads the coupling, and ``step``
-    re-evaluates that part alone. The anchor is y, and every
-    ``SPAN_CAP``-th state after it becomes the next, so each state is the
-    same whatever k the calls ask for. ``advance`` keeps the states
-    in the agents' gathered layout and scatters them into flat rows once.
-    Padded coordinates gather a zero after the state; their rows and columns
-    of ``A_i`` are zero, so they stay zero, and they are never scattered.
+    rounding. ``b`` is ``closed_loop_rhs`` at y = 0 in the agents' layout;
+    ``step`` rewrites in place its estimator rows, the only ones that read
+    the coupling, so only the last ``advance`` it returned is current. The
+    anchor is y, and every ``SPAN_CAP``-th state after it becomes the next,
+    so each state is the same whatever k the calls ask for. ``advance``
+    keeps the states in the agents' layout and scatters them into flat rows
+    once. Padded coordinates gather a zero after the state; their rows and
+    columns of ``A_i`` and their entries of ``b`` are +0.0, so they stay
+    zero, and they are never scattered.
     The map is checked once against one ``rk4_step`` of ``closed_loop_rhs``
     (``ValueError`` naming "affine" if they differ), which catches an
     evaluator that is affine in name only, or a wrong composition; the
     model has checked each agent's declaration already. A map or reference
-    step that overflows raises ``DivergenceError`` naming h instead. Other networks
-    take that ``rk4_step`` for every state, each its own anchor, so
-    ``advance`` returns one row.
+    step that overflows raises ``DivergenceError`` naming h instead. Other
+    networks take that ``rk4_step`` for every state, each its own anchor, so
+    ``advance`` returns one row; one that overflows is left to the caller's
+    divergence check, with no numpy warning.
     """
     rhs = partial(closed_loop_rhs, problem, delta)
     if not isinstance(problem.network, Quadratic):
@@ -261,7 +252,8 @@ def closed_loop_step(
 
             def advance(k: int) -> np.ndarray:
                 nonlocal y
-                y = rk4_step(field, 0.0, y, h)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y = rk4_step(field, 0.0, y, h)
                 return y[None]
 
             return advance
@@ -278,14 +270,15 @@ def closed_loop_step(
     order = order[:size]
     padded = np.zeros(size + 1)  # a flat state, then the pads' zero
     net = problem.network
-    b = np.zeros(size + 1)  # b, then the pads' zero
-    b_x, b_block = _split_state(b[:size], shape)
-    b_x[:] = -net.drive0.ravel().take(net.scattered)
+    width = net.gathered.shape[1]
+    # b in the agents' layout: -drive0 in the decision rows, +0.0 in the pads
+    b = np.zeros((n_agents, d, 1))
+    np.negative(net.drive0, out=b[:, :width, 0], where=net.gathered < problem.dim)
+    b_block = b[:, width:, 0].reshape(n_agents, 2, -1).swapaxes(0, 1)  # (2, N, 2m) view
     eta0 = np.zeros(shape[1:])
 
     def step(coupling: np.ndarray, y: np.ndarray) -> Callable[[int], np.ndarray]:
         estimator_derivative(eta0, net.theta0, coupling, delta, out=b_block)
-        gathered_b = b.take(flat)[..., None]
         padded[:size] = y
         anchor = padded.take(flat)[..., None]
         j = 0  # steps from the anchor
@@ -294,7 +287,7 @@ def closed_loop_step(
             nonlocal anchor, j
             k = min(k, SPAN_CAP - j)
             rows = slice(j * d, (j + k) * d)
-            ahead = powers[:, rows] @ anchor + sums[:, rows] @ gathered_b
+            ahead = powers[:, rows] @ anchor + sums[:, rows] @ b
             j += k
             if j == SPAN_CAP:
                 anchor, j = ahead[:, -d:], 0
@@ -345,30 +338,32 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
             "the fast subsystem may be under-resolved",
         )
 
-    x0 = np.asarray(cfg.x0, dtype=float)
     # every agent broadcasts its initial state at t = 0
-    hats = initial_estimator_state(problem, x0)
+    hats = initial_estimator_state(problem, cfg.x0)
     h, delta, stride = cfg.h, cfg.delta, cfg.output_stride
-    n_steps = max(1, int(round(cfg.t_end / h)))
-    grid = np.arange(n_steps + 1) * h
+    n_steps = step_count(cfg.t_end, h, stride, "output_stride")
+    y = np.concatenate([cfg.x0, hats.ravel()])
+    try:
+        grid = np.arange(n_steps + 1) * h
+        # every stride-th grid step, then the last one if it falls off the stride
+        rec_steps = np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
+        rec_y = np.empty((rec_steps.size, y.size))
+        rec_hats = np.empty((rec_steps.size, *hats.shape))
+    except (ValueError, MemoryError):
+        raise ValueError(
+            f"the grid of {n_steps:.6g} steps cannot be allocated; "
+            "shorten the horizon (tend) or lengthen the step (step)"
+        ) from None
+    rec_y[0], rec_hats[0] = y, hats
 
     rule = TriggerRule(cfg.schemes)
     entry = partial(_state_entry, n_agents=n_agents, two_m=2 * problem.m, n=n)
     # (grid step, agent mask) of every broadcast, split per agent after the loop
     broadcasts = [(0, np.ones(n_agents, dtype=bool))]
-
-    y = np.concatenate([x0, hats.ravel()])
-
-    # every stride-th grid step, then the last one if it falls off the stride
-    rec_steps = np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
-    n_records = rec_steps.size
-    rec_y = np.empty((n_records, y.size))
-    rec_hats = np.empty((n_records, *hats.shape))
-    rec_y[0], rec_hats[0] = y, hats
     try:
         # last set-up action, so the RK4 step of the map's check marks its end
         step = closed_loop_step(problem, delta, h)
-        advance = step(broadcast_coupling(lap, hats), y)
+        advance = step(lap @ hats, y)
         k = 0  # grid step reached
         span = n_steps  # steps asked of advance, which stops at the next anchor
         while k < n_steps:
@@ -398,7 +393,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
             span = k - broadcasts[-1][0]
             row, mask = fired
             hats[:, mask] = estimators[row][:, mask]
-            advance = step(broadcast_coupling(lap, hats), y)
+            advance = step(lap @ hats, y)
             broadcasts.append((k, mask))
     except DivergenceError as exc:
         exc.warnings = warnings

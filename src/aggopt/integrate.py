@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DivergenceError", "rk4_step", "rk4_powers", "ensure_finite", "finite_vector"]
+__all__ = ["DivergenceError", "step_count", "rk4_step", "rk4_powers", "ensure_finite", "finite_vector"]
 
 # Beyond this magnitude the trajectory is treated as diverged.
 STATE_LIMIT = 1e12
@@ -21,6 +21,25 @@ class DivergenceError(RuntimeError):
     ``warnings`` holds the run's warnings when ``engine.run`` raised it."""
 
     warnings: tuple[str, ...] = ()
+
+
+def step_count(t_end: float, h: float, stride: int = 1, stride_name: str = "stride") -> int:
+    """``max(1, round(t_end / h))`` steps of length h to t_end, recording every
+    ``stride``-th. ``ValueError`` unless h and t_end are positive and finite,
+    t_end/h is finite (one that underflows to 0 takes one step, as any t_end
+    below h/2 does) and the stride, ``stride_name`` to the caller, is a
+    positive integer."""
+    if not all(0 < v < np.inf for v in (h, t_end)):
+        raise ValueError("h and t_end must be positive and finite")
+    ratio = float(t_end) / float(h)  # a numpy scalar would warn on overflow
+    if not ratio < np.inf:
+        raise ValueError(
+            f"the step count t_end/h = {t_end:g}/{h:g} overflows; "
+            "shorten the horizon (tend) or lengthen the step (step)"
+        )
+    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
+        raise ValueError(f"{stride_name} must be a positive integer")
+    return max(1, int(round(ratio)))
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, h: float) -> np.ndarray:

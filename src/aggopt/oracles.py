@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_step
+from .integrate import DivergenceError, ensure_finite, finite_vector, rk4_step, step_count
 from .problems import AggregativeProblem, global_gradient
 
 __all__ = [
@@ -66,17 +66,14 @@ def centralized_flow(
 ) -> CentralizedTrajectory:
     """Integrate x' = -grad f(x) with fixed 4th-order steps.
 
-    ``h`` and ``t_end`` must be positive and finite, ``stride`` a positive
-    integer and ``x0`` a finite decision vector, else ``ValueError``.
+    :func:`aggopt.integrate.step_count` checks ``h``, ``t_end`` and ``stride``,
+    and ``x0`` must be a finite decision vector, else ``ValueError``.
     Records every ``stride``-th step and the last one. Stops early once the
     gradient norm drops to ``FLOW_GRAD_TOL``. The aggregate
     entering every agent's gradient is recomputed exactly at each stage, so
     this is the coordinator baseline the distributed runs are compared to.
     """
-    if not all(0 < v < np.inf for v in (h, t_end)):
-        raise ValueError("h and t_end must be positive and finite")
-    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
-        raise ValueError("stride must be a positive integer")
+    n_steps = step_count(t_end, h, stride)
     x = finite_vector("x0", x0, problem.dim).copy()
 
     # the stopping test's gradient at x is the next step's first stage
@@ -85,7 +82,6 @@ def centralized_flow(
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         return -(grad if state is x else global_gradient(problem, state))
 
-    n_steps = max(1, int(round(t_end / h)))
     times = [0.0]
     states = [x.copy()]
     for k in range(n_steps):

@@ -16,7 +16,6 @@ from aggopt import (
     Event,
     Periodic,
     SimConfig,
-    broadcast_coupling,
     build_equilibrium,
     centralized_flow,
     consensus_error,
@@ -156,7 +155,7 @@ def test_criterion_3_estimator_consensus(der4, ring4):
 
     def rhs(t, z):
         block = z.reshape(state.shape)
-        return estimator_derivative(block[0], thetas, broadcast_coupling(lap, block), delta).ravel()
+        return estimator_derivative(block[0], thetas, lap @ block, delta).ravel()
 
     lap2 = np.kron(lap, np.eye(2))
     aug = np.zeros((9, 9))

@@ -109,8 +109,9 @@ def test_sweep_deltas_checked_before_any_run(tmp_path, capsys, monkeypatch, delt
 
 
 def test_memory_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
-    # a horizon whose time grid cannot be allocated; raised here, because a
-    # real allocation can succeed on a host that overcommits
+    # an allocation that fails outside run's own grid, which run names by
+    # tend and step; raised here, because a real allocation can succeed on a
+    # host that overcommits
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000001,)")
 
@@ -467,17 +468,23 @@ assert "logging" not in sys.modules, "aggopt.cli run loaded logging"
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_step_count_exits_one(tmp_path, capsys):
-    # each value is positive and finite; only the step count overflows
-    code = run_cli([
-        "run", "--scenario", "der4", "--tend", "1e300", "--step", "1e-300",
-        "--output", str(tmp_path / "out"),
-    ])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: the step count t_end/h = 1e+300/1e-300 overflows; "
-        "shorten the horizon (tend) or lengthen the step (step)\n"
-    )
-    assert not (tmp_path / "out").exists()
+    cases = [
+        # each value is positive and finite; only the step count overflows
+        (["--tend", "1e300", "--step", "1e-300"], "the step count t_end/h = 1e+300/1e-300 overflows"),
+        # finite step counts whose time grid no host can allocate: past
+        # numpy's size limit, 800 PB of grid (past even a 57-bit address
+        # space), and past the limit again through the default step delta/100
+        (["--tend", "1e20"], "the grid of 1e+23 steps cannot be allocated"),
+        (["--tend", "1e14"], "the grid of 1e+17 steps cannot be allocated"),
+        (["--delta", "1e-300"], "the grid of 2e+304 steps cannot be allocated"),
+    ]
+    for flags, cause in cases:
+        code = run_cli(["run", "--scenario", "der4", *flags, "--output", str(tmp_path / "out")])
+        assert code == 1, flags
+        assert capsys.readouterr().err == (
+            f"error: {cause}; shorten the horizon (tend) or lengthen the step (step)\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 def _divergence_stderr(tmp_path, capsys, flags):

@@ -5,7 +5,6 @@ from scipy.linalg import expm
 
 from aggopt import (
     DerParameters,
-    broadcast_coupling,
     build_equilibrium,
     consensus_error,
     equilibrium_residual,
@@ -78,7 +77,7 @@ def test_estimator_derivative_isolated_agent_at_rest():
     theta_val = np.array([[3.0, -2.0]])
     eta = theta_val.copy()
     w = np.array([[0.4, 0.1]])
-    coupling = broadcast_coupling(lap, np.stack([eta, w]))
+    coupling = lap @ np.stack([eta, w])
     eta_dot, w_dot = estimator_derivative(eta, theta_val, coupling, 0.1)
     assert np.allclose(eta_dot, 0.0) and np.allclose(w_dot, 0.0)
 
@@ -89,7 +88,7 @@ def test_estimator_derivative_consensus_equilibrium(ring4, der4):
     eta = np.tile(value, (4, 1))
     w = np.zeros((4, 2))
     thetas = np.tile(value, (4, 1))
-    coupling = broadcast_coupling(lap, np.stack([eta, w]))
+    coupling = lap @ np.stack([eta, w])
     eta_dot, w_dot = estimator_derivative(eta, thetas, coupling, 0.1)
     assert np.allclose(eta_dot, 0.0) and np.allclose(w_dot, 0.0)
 
@@ -97,7 +96,7 @@ def test_estimator_derivative_consensus_equilibrium(ring4, der4):
 def test_estimator_derivative_requires_positive_delta(ring4):
     lap = laplacian(ring4)
     z = np.zeros((4, 2))
-    coupling = broadcast_coupling(lap, np.stack([z, z]))
+    coupling = lap @ np.stack([z, z])
     for delta in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             estimator_derivative(z, z, coupling, delta)
@@ -119,7 +118,7 @@ def test_two_node_linear_system_matches_matrix_exponential():
 
     def rhs(t, z):
         block = z.reshape(state.shape)
-        return estimator_derivative(block[0], thetas, broadcast_coupling(lap, block), delta).ravel()
+        return estimator_derivative(block[0], thetas, lap @ block, delta).ravel()
 
     lap2 = np.kron(lap, np.eye(2))
     drift = np.block([[-np.eye(4) - lap2, -lap2], [lap2, np.zeros((4, 4))]]) / delta

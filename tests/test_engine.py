@@ -17,7 +17,6 @@ from aggopt import (
     Graph,
     Periodic,
     SimConfig,
-    broadcast_coupling,
     build_equilibrium,
     centralized_flow,
     closed_loop_rhs,
@@ -79,7 +78,7 @@ def rhs_parts(problem, lap, delta, x, eta, w, eta_hat, w_hat):
     """closed_loop_rhs on the flat state built from (x, eta, w), split back
     into (x_dot, eta_dot, w_dot)."""
     flat = closed_loop_rhs(
-        problem, delta, broadcast_coupling(lap, np.stack([eta_hat, w_hat])), 0.0,
+        problem, delta, lap @ np.stack([eta_hat, w_hat]), 0.0,
         np.concatenate([x, eta.ravel(), w.ravel()]),
     )
     n, k = x.size, eta.size
@@ -574,7 +573,7 @@ def reference_run(cfg, stepper):
                     events[i].append(t)
                 anchor, j = y, 0
         j += 1
-        y = advance_of(broadcast_coupling(lap, np.stack([eta_hat, w_hat])))(anchor, j)
+        y = advance_of(lap @ np.stack([eta_hat, w_hat]))(anchor, j)
         if j == every:
             anchor, j = y, 0
         ensure_finite(y[None], np.array([(k + 1) * h]), h, entry, advice)
@@ -820,7 +819,7 @@ def random_held_state(problem, lap, rng, scale):
     n_agents, two_m = problem.n_agents, 2 * problem.m
     y = scale * rng.standard_normal(problem.dim + 2 * n_agents * two_m)
     hats = scale * rng.standard_normal((2, n_agents, two_m))
-    return y, broadcast_coupling(lap, hats)
+    return y, lap @ hats
 
 
 @pytest.mark.parametrize("case", ["der4", "dispatch15", "dispatch200", "vector3"])
@@ -1084,6 +1083,16 @@ def test_overflowing_step_map_is_a_step_size_error(flags, h, tmp_path, capsys):
     assert code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: the RK4 step map overflows at step h={h}; reduce the step size"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_per_agent_step_is_a_divergence(der4, ring4):
+    # agents not declared quadratic take one rk4_step per state: a step far
+    # too long overflows there, and the divergence check names h, with no
+    # numpy warning first
+    cfg = event_config(undeclared(der4), ring4, delta=1e300, h=1e298, t_end=1e299)
+    with pytest.raises(DivergenceError, match=r"state diverged at t=1e\+298 \(step h=1e\+298\)"):
+        run(cfg, x_star=None)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -192,6 +192,9 @@ def test_centralized_flow_rejects_bad_arguments(der4, gradient_calls):
         centralized_flow(der4, x0[:3], h=1e-3, t_end=1.0)
     with pytest.raises(ValueError, match="x0 must be finite"):
         centralized_flow(der4, np.array([5.0, np.nan, 3.0, 8.0]), h=1e-3, t_end=1.0)
+    # each finite and positive, but too many steps to count
+    with pytest.raises(ValueError, match=r"t_end/h = 1e\+300/1e-300 overflows"):
+        centralized_flow(der4, x0, h=1e-300, t_end=1e300)
     # every argument is checked before the first gradient
     assert gradient_calls == []
     # a numpy integer is an integer stride
