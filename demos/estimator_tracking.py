@@ -54,7 +54,7 @@ state = initial_estimator_state(frozen2, np.array([5.0, 6.0]))
 thetas = theta_stack(frozen2, np.array([5.0, 6.0]), state[0, :, :1])
 
 
-def rhs(t, z):
+def rhs(z):
     block = z.reshape(state.shape)
     return estimator_derivative(block[0], thetas, lap @ block, delta).ravel()
 
@@ -69,7 +69,7 @@ z = state.ravel()
 h = 2.5e-4
 worst = 0.0
 for k in range(4000):
-    z = rk4_step(rhs, k * h, z, h)
+    z = rk4_step(rhs, z, h)
     if (k + 1) % 400 == 0:
         reference = (expm(aug * ((k + 1) * h)) @ z0_aug)[:8]
         worst = max(worst, float(np.abs(z - reference).max()))

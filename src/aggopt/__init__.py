@@ -54,7 +54,6 @@ from .problems import (
     make_dispatch_instance,
     quadratic_hessian,
     sigma,
-    theta,
     with_frozen_decisions,
 )
 from .triggers import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import re
 import sys
@@ -21,6 +20,8 @@ from pathlib import Path
 from .config import (
     ConfigError,
     ScenarioConfig,
+    _number,
+    _number_list,
     dump_config,
     parse_raw,
     resolve_config,
@@ -78,20 +79,6 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return resolve_config(_scenario_entries(args))
 
 
-def _positive_finite(value: float | str, flag: str) -> float:
-    """``value``, a number or the text of ``flag`` as typed, as a float;
-    ValueError naming the flag and quoting the value unless it is positive
-    and finite. Called before any run starts, so nothing is computed or
-    written."""
-    try:
-        number = float(value)
-    except ValueError:
-        raise _UsageError(f"malformed {flag} value: {value!r}") from None
-    if not 0 < number < math.inf:
-        raise ValueError(f"{flag}: must be positive and finite, got {value!r}")
-    return number
-
-
 def _error_text(rel: float | None) -> str:
     """A relative error as printed; "n/a" where the optimum is 0."""
     return "n/a" if rel is None else f"{rel:.3e}"
@@ -109,12 +96,16 @@ def _warn(texts: tuple[str, ...]) -> None:
         print(f"warning: {text}", file=sys.stderr)
 
 
-def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> dict:
+def run_scenario(sc: ScenarioConfig, compare_periodic: float | str | None = None) -> dict:
     """Oracle solve + distributed run; writes trajectory.csv, events.csv,
     and summary.json into the scenario's output directory, and each warning
-    of the run to stderr as ``warning: <text>``."""
+    of the run to stderr as ``warning: <text>``. ``compare_periodic``, a
+    number or the ``--compare-periodic`` text as typed, must be positive and
+    finite (``ValueError`` naming the flag before anything runs)."""
     if compare_periodic is not None:
-        _positive_finite(compare_periodic, "--compare-periodic")
+        compare_periodic = _number(
+            compare_periodic, "--compare-periodic", "compare_periodic", positive=True
+        )
     cfg = to_sim_config(sc)
     problem, graph = cfg.problem, cfg.graph
     x_star = solve_kkt_quadratic(problem)
@@ -173,11 +164,8 @@ def run_scenario(sc: ScenarioConfig, compare_periodic: float | None = None) -> d
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    period = args.compare_periodic
-    if period is not None:
-        period = _positive_finite(period, "--compare-periodic")
     sc = _load_scenario(args)
-    summary = run_scenario(sc, compare_periodic=period)
+    summary = run_scenario(sc, compare_periodic=args.compare_periodic)
     rel = _error_text(summary["relative_error"])
     print(f"wrote {sc.output_dir}/trajectory.csv, events.csv, summary.json")
     print(f"relative error vs oracle: {rel}; broadcasts: {summary['events']['total']}")
@@ -211,7 +199,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     entries = _scenario_entries(args)
     sc = resolve_config(entries)
-    deltas = [_positive_finite(v, "--deltas") for v in args.deltas.split(",")]
+    deltas = _number_list(args.deltas, "--deltas", "delta", positive=True)
     for i, delta in enumerate(deltas):
         if delta in deltas[:i]:
             raise ValueError(f"--deltas: {delta!r} is given more than once")

@@ -46,7 +46,8 @@ derivative are (2, N, 2m) blocks (see :mod:`aggopt.consensus`). The
 broadcasts are one copy of the state's estimator block, which the trigger
 rule reads whole; a broadcast step is one masked write and one product
 ``L @ hats``. Records are rows of the flat state and of that copy, split
-into :class:`SimResult`'s fields once, after the loop.
+into :class:`SimResult`'s fields once, after the loop; a broadcast is kept
+as its grid step and one mask byte per agent, and times are steps times h.
 
 Triggers are evaluated at grid points only, so detected event times are
 late by at most h; all agents broadcast at t = 0. Identical configurations
@@ -171,13 +172,11 @@ def closed_loop_rhs(
     problem: AggregativeProblem,
     delta: float,
     coupling: np.ndarray,
-    t: float,
     y: np.ndarray,
 ) -> np.ndarray:
     """Derivative of the flat state ``y`` with broadcasts held fixed, which
     the (2, N, 2m) ``coupling`` ``lap @ hats`` carries (see
-    :func:`aggopt.consensus.estimator_derivative`). ``t`` is unused
-    but lets ``rk4_step`` integrate it with the other arguments bound."""
+    :func:`aggopt.consensus.estimator_derivative`)."""
     m = problem.m
     x, (eta, _) = _split_state(y, coupling.shape)
     eta1 = eta[:, :m]
@@ -253,7 +252,7 @@ def closed_loop_step(
             def advance(k: int) -> np.ndarray:
                 nonlocal y
                 with np.errstate(over="ignore", invalid="ignore"):
-                    y = rk4_step(field, 0.0, y, h)
+                    y = rk4_step(field, y, h)
                 return y[None]
 
             return advance
@@ -302,7 +301,7 @@ def closed_loop_step(
     # a step far too long overflows the map (which step reads) or the step
     with np.errstate(over="ignore", invalid="ignore"):
         powers, sums = rk4_powers(a, h, SPAN_CAP)
-        want = rk4_step(partial(rhs, coupling), 0.0, state, h)
+        want = rk4_step(partial(rhs, coupling), state, h)
         got = step(coupling, state)(1)[0]
     if not all(np.isfinite(v).all() for v in (powers, sums, want, got)):
         raise DivergenceError(f"the RK4 step map overflows at step h={h:.6g}; reduce the step size")
@@ -344,22 +343,21 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
     n_steps = step_count(cfg.t_end, h, stride, "output_stride")
     y = np.concatenate([cfg.x0, hats.ravel()])
     try:
-        grid = np.arange(n_steps + 1) * h
         # every stride-th grid step, then the last one if it falls off the stride
         rec_steps = np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
         rec_y = np.empty((rec_steps.size, y.size))
         rec_hats = np.empty((rec_steps.size, *hats.shape))
     except (ValueError, MemoryError):
         raise ValueError(
-            f"the grid of {n_steps:.6g} steps cannot be allocated; "
+            f"the records of {n_steps:.6g} steps cannot be allocated; "
             "shorten the horizon (tend) or lengthen the step (step)"
         ) from None
     rec_y[0], rec_hats[0] = y, hats
 
     rule = TriggerRule(cfg.schemes)
     entry = partial(_state_entry, n_agents=n_agents, two_m=2 * problem.m, n=n)
-    # (grid step, agent mask) of every broadcast, split per agent after the loop
-    broadcasts = [(0, np.ones(n_agents, dtype=bool))]
+    # grid step and agent mask (one byte per agent) of every broadcast
+    steps, masks = [0], bytearray(b"\x01" * n_agents)
     try:
         # last set-up action, so the RK4 step of the map's check marks its end
         step = closed_loop_step(problem, delta, h)
@@ -369,7 +367,7 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
         while k < n_steps:
             rows = advance(min(span, n_steps - k))
             size = len(rows)
-            times = grid[k + 1 : k + size + 1]
+            times = (k + 1 + np.arange(size)) * h
             # grid time n_steps ends the run without a trigger check
             checked = min(size, n_steps - 1 - k)
             fired = None
@@ -390,20 +388,22 @@ def run(cfg: SimConfig, x_star: np.ndarray | None = None) -> SimResult:
             if fired is None:
                 span = 2 * size
                 continue
-            span = k - broadcasts[-1][0]
+            span = k - steps[-1]
             row, mask = fired
             hats[:, mask] = estimators[row][:, mask]
             advance = step(lap @ hats, y)
-            broadcasts.append((k, mask))
+            steps.append(k)
+            masks += mask.tobytes()
     except DivergenceError as exc:
         exc.warnings = warnings
         raise
 
     rec_y[-1], rec_hats[-1] = y, hats
-    rec_t = grid[rec_steps]
+    rec_t = rec_steps * h
     rec_x, rec_estimator = rec_y[:, :n], rec_y[:, n:].reshape(rec_hats.shape)
-    steps, masks = map(np.array, zip(*broadcasts))
-    events = EventLog(times=tuple(grid[steps[mask]] for mask in masks.T))
+    steps = np.array(steps)
+    masks = np.frombuffer(masks, dtype=bool).reshape(-1, n_agents)
+    events = EventLog(times=tuple(steps[mask] * h for mask in masks.T))
     final_x = y[:n].copy()
 
     decision_error = None

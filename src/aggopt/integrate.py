@@ -42,11 +42,12 @@ def step_count(t_end: float, h: float, stride: int = 1, stride_name: str = "stri
     return max(1, int(round(ratio)))
 
 
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
+def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> np.ndarray:
+    """One step of length h of the autonomous field ``y' = f(y)``."""
+    k1 = f(y)
+    k2 = f(y + (0.5 * h) * k1)
+    k3 = f(y + (0.5 * h) * k2)
+    k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -79,15 +79,14 @@ def centralized_flow(
     # the stopping test's gradient at x is the next step's first stage
     grad = global_gradient(problem, x)
 
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+    def rhs(state: np.ndarray) -> np.ndarray:
         return -(grad if state is x else global_gradient(problem, state))
 
     times = [0.0]
     states = [x.copy()]
     for k in range(n_steps):
-        t = k * h
-        x = rk4_step(rhs, t, x, h)
-        ensure_finite(x[None], (t + h,), h, "x_{}".format)
+        x = rk4_step(rhs, x, h)
+        ensure_finite(x[None], ((k + 1) * h,), h, "x_{}".format)
         if (k + 1) % stride == 0:
             times.append((k + 1) * h)
             states.append(x.copy())

@@ -33,7 +33,6 @@ __all__ = [
     "AggregativeProblem",
     "PerAgent",
     "Quadratic",
-    "theta",
     "sigma",
     "global_cost",
     "global_gradient",
@@ -106,42 +105,17 @@ class DerParameters:
             raise ValueError("need at least one unit")
 
 
-def _shape_error(agent: int | None, *returned: tuple[str, np.ndarray, tuple[int, ...]]) -> None:
+def _shape_error(agent: int, *returned: tuple[str, np.ndarray, tuple[int, ...]]) -> None:
     """Raise ``ValueError`` for the first ``(name, value, shape)`` whose
     value, returned by a local objective's callable ``name``, is not of
     ``shape``, naming the agent, the callable and both shapes."""
     for name, value, shape in returned:
         if value.shape != shape:
-            who = "" if agent is None else f"agent {agent}: "
             raise ValueError(
-                f"{who}{name} returned shape {value.shape}, expected {shape}; phi and "
+                f"agent {agent}: {name} returned shape {value.shape}, expected {shape}; phi and "
                 "grad_sigma must both return m-vectors, grad_x dim_x entries and jac_phi "
                 "the (m, dim_x) Jacobian"
             )
-
-
-def _write_theta(
-    row: np.ndarray, obj: LocalObjective, x_i: np.ndarray, eta_i1: np.ndarray, agent: int | None
-) -> None:
-    """Write Theta_i, phi_i(x_i) over grad_sigma f_i(x_i, eta_i1), into the
-    2m-vector ``row``; m is the size of the estimate ``eta_i1``."""
-    m = eta_i1.size
-    top = obj.phi(x_i)
-    bottom = obj.grad_sigma(x_i, eta_i1)
-    if top.shape != (m,) or bottom.shape != (m,):
-        _shape_error(agent, ("phi", top, (m,)), ("grad_sigma", bottom, (m,)))
-    row[:m] = top
-    row[m:] = bottom
-
-
-def theta(obj: LocalObjective, x_i: np.ndarray, eta_i1: np.ndarray) -> np.ndarray:
-    """Local estimator input: phi_i(x_i) stacked over grad_sigma f_i(x_i, eta_i1),
-    both m-vectors for the m-vector ``eta_i1``."""
-    x_i = np.asarray(x_i, dtype=float)
-    eta_i1 = np.asarray(eta_i1, dtype=float)
-    row = np.empty(2 * eta_i1.size)
-    _write_theta(row, obj, x_i, eta_i1, None)
-    return row
 
 
 class PerAgent:
@@ -188,9 +162,17 @@ class PerAgent:
     def theta(self, x: Vector, eta1: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
             return np.stack([self.theta(x_k, eta1_k) for x_k, eta1_k in zip(x, eta1)])
-        out = np.empty((len(self.agents), 2 * self.m))
+        # row i is Theta_i: phi_i(x_i) over grad_sigma f_i(x_i, eta_i1)
+        m = self.m
+        out = np.empty((len(self.agents), 2 * m))
         for i, obj, sl, _, _ in self.layout:
-            _write_theta(out[i], obj, x[sl], eta1[i], i)
+            x_i = x[sl]
+            top = obj.phi(x_i)
+            bottom = obj.grad_sigma(x_i, eta1[i])
+            if top.shape != (m,) or bottom.shape != (m,):
+                _shape_error(i, ("phi", top, (m,)), ("grad_sigma", bottom, (m,)))
+            out[i, :m] = top
+            out[i, m:] = bottom
         return out
 
     def drive(self, x: Vector, eta1: np.ndarray, eta2: np.ndarray) -> Vector:

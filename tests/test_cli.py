@@ -82,13 +82,14 @@ COMPARE_PERIODIC_CASES = [
 def test_compare_periodic_checked_before_any_run(tmp_path, capsys, monkeypatch, entry, value):
     monkeypatch.setattr(cli, "run", refuse_to_run)
     out = tmp_path / "out"
-    message = "--compare-periodic: must be positive and finite"
+    cause = "finite" if value in ("inf", "nan") else "positive"
+    message = f"--compare-periodic: 'compare_periodic' must be {cause}"
     if entry == "cli":
         code = run_cli([
             "run", "--scenario", "der4", "--output", str(out), f"--compare-periodic={value}",
         ])
         assert code == 1
-        assert f"{message}, got {value!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}, got {value!r}\n"
     else:
         sc = parse_config(f"scenario = der4\noutput = {out}\n")
         with pytest.raises(ValueError, match=message):
@@ -104,12 +105,13 @@ def test_sweep_deltas_checked_before_any_run(tmp_path, capsys, monkeypatch, delt
     assert code == 1
     # the rejected value as typed: 1e-400 parses to 0
     typed = deltas.split(",")[-1]
-    assert f"--deltas: must be positive and finite, got {typed!r}" in capsys.readouterr().err
+    cause = "finite" if typed in ("inf", "nan") else "positive"
+    assert capsys.readouterr().err == f"error: --deltas: 'delta' must be {cause}, got {typed!r}\n"
     assert not out.exists()
 
 
 def test_memory_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
-    # an allocation that fails outside run's own grid, which run names by
+    # an allocation that fails outside run's own records, which run names by
     # tend and step; raised here, because a real allocation can succeed on a
     # host that overcommits
     def out_of_memory(*args, **kwargs):
@@ -471,12 +473,13 @@ def test_overflowing_step_count_exits_one(tmp_path, capsys):
     cases = [
         # each value is positive and finite; only the step count overflows
         (["--tend", "1e300", "--step", "1e-300"], "the step count t_end/h = 1e+300/1e-300 overflows"),
-        # finite step counts whose time grid no host can allocate: past
-        # numpy's size limit, 800 PB of grid (past even a 57-bit address
-        # space), and past the limit again through the default step delta/100
-        (["--tend", "1e20"], "the grid of 1e+23 steps cannot be allocated"),
-        (["--tend", "1e14"], "the grid of 1e+17 steps cannot be allocated"),
-        (["--delta", "1e-300"], "the grid of 2e+304 steps cannot be allocated"),
+        # finite step counts whose records no host can allocate: past
+        # numpy's size limit, 800 PB of recorded step indices (past even a
+        # 57-bit address space), and past the limit again through the
+        # default step delta/100
+        (["--tend", "1e20"], "the records of 1e+23 steps cannot be allocated"),
+        (["--tend", "1e14"], "the records of 1e+17 steps cannot be allocated"),
+        (["--delta", "1e-300"], "the records of 2e+304 steps cannot be allocated"),
     ]
     for flags, cause in cases:
         code = run_cli(["run", "--scenario", "der4", *flags, "--output", str(tmp_path / "out")])

@@ -17,21 +17,26 @@ from aggopt import (
     random_connected_graph,
     sigma,
     solve_kkt_quadratic,
-    theta,
     theta_stack,
     with_frozen_decisions,
 )
 from aggopt.integrate import rk4_step
-from aggopt.problems import AggregativeProblem, LocalObjective
+from aggopt.problems import AggregativeProblem, LocalObjective, PerAgent
+
+
+def agent_theta(obj, x_i, eta_i1):
+    """Theta_i of one agent, phi_i(x_i) over grad_sigma f_i(x_i, eta_i1),
+    through a one-agent PerAgent network."""
+    return PerAgent((obj,), eta_i1.size).theta(x_i, eta_i1[None])[0]
 
 
 def test_theta_der_agent(der4):
-    value = theta(der4.agents[0], np.array([10.0]), np.array([77.0]))
+    value = agent_theta(der4.agents[0], np.array([10.0]), np.array([77.0]))
     assert np.allclose(value, [10.0, 4.0])
 
 
 def test_theta_zero_decision(der4):
-    assert np.allclose(theta(der4.agents[0], np.zeros(1), np.zeros(1)), [0.0, 0.0])
+    assert np.allclose(agent_theta(der4.agents[0], np.zeros(1), np.zeros(1)), [0.0, 0.0])
 
 
 def test_theta_sigma_dependent_objective():
@@ -49,11 +54,11 @@ def test_theta_sigma_dependent_objective():
     )
     x_i = np.array([2.0])
     for eta_i1 in (np.array([0.5]), np.array([-1.5])):
-        value = theta(obj, x_i, eta_i1)
+        value = agent_theta(obj, x_i, eta_i1)
         fd = fd_gradient(lambda s: obj.cost(x_i, s), eta_i1)
         assert value[0] == x_i[0]
         assert value[1] == pytest.approx(fd[0], rel=1e-6)
-        assert value[1] != theta(obj, x_i, np.zeros(1))[1]
+        assert value[1] != agent_theta(obj, x_i, np.zeros(1))[1]
 
 
 def test_theta_stack_matches_per_agent(der4):
@@ -62,7 +67,7 @@ def test_theta_stack_matches_per_agent(der4):
     eta1 = rng.uniform(-5, 5, (4, 1))
     stacked = theta_stack(der4, x, eta1)
     for i, obj in enumerate(der4.agents):
-        assert np.allclose(stacked[i], theta(obj, x[i : i + 1], eta1[i]), atol=1e-12)
+        assert np.allclose(stacked[i], agent_theta(obj, x[i : i + 1], eta1[i]), atol=1e-12)
 
 
 def test_initial_estimator_state_convention(der4):
@@ -116,7 +121,7 @@ def test_two_node_linear_system_matches_matrix_exponential():
     state = initial_estimator_state(frozen, x0)
     thetas = theta_stack(frozen, x0, state[0, :, :1])
 
-    def rhs(t, z):
+    def rhs(z):
         block = z.reshape(state.shape)
         return estimator_derivative(block[0], thetas, lap @ block, delta).ravel()
 
@@ -132,7 +137,7 @@ def test_two_node_linear_system_matches_matrix_exponential():
     h = 2.5e-4
     worst = 0.0
     for k in range(4000):
-        z = rk4_step(rhs, k * h, z, h)
+        z = rk4_step(rhs, z, h)
         if (k + 1) % 400 == 0:
             reference = (expm(aug * ((k + 1) * h)) @ z0_aug)[:8]
             worst = max(worst, float(np.abs(z - reference).max()))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from unittest.mock import patch
@@ -78,7 +79,7 @@ def rhs_parts(problem, lap, delta, x, eta, w, eta_hat, w_hat):
     """closed_loop_rhs on the flat state built from (x, eta, w), split back
     into (x_dot, eta_dot, w_dot)."""
     flat = closed_loop_rhs(
-        problem, delta, lap @ np.stack([eta_hat, w_hat]), 0.0,
+        problem, delta, lap @ np.stack([eta_hat, w_hat]),
         np.concatenate([x, eta.ravel(), w.ravel()]),
     )
     n, k = x.size, eta.size
@@ -310,6 +311,27 @@ def test_continuous_run_estimates_quickly(der4, ring4, der4_x_star):
     assert result.metrics.consensus_error.min() < 1e-4
 
 
+def test_run_memory_grows_by_a_few_bytes_per_broadcast(der4, ring4):
+    # a continuous run broadcasts at every grid step and records two
+    # samples, so its traced peak grows only by what it keeps per broadcast:
+    # its grid step, its agent mask and the event times it returns (about
+    # 80 B). A broadcast that kept its trigger pass's arrays alive grew it by
+    # about 455 B per step.
+    def peak(t_end):
+        cfg = event_config(
+            der4, ring4, schemes=(Continuous(),) * 4, h=1e-3, t_end=t_end, output_stride=100000
+        )
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_step = (peak(1.25) - peak(0.25)) / 1000
+    assert per_step <= 150, f"{per_step:.0f} B per broadcast step"
+
+
 def test_continuous_log_error_convex_decreasing(der4, ring4, der4_x_star):
     cfg = event_config(
         der4, ring4, schemes=(Continuous(),) * 4, t_end=30.0, output_stride=20
@@ -495,7 +517,7 @@ def hand_written_rhs(problem, delta):
     m = problem.m
 
     def rhs_of(coupling):
-        def rhs(t, y):
+        def rhs(y):
             n, shape = problem.dim, coupling[0].shape
             x, eta = y[:n], y[n : n + coupling[0].size].reshape(shape)
             eta1 = eta[:, :m]
@@ -518,7 +540,7 @@ def rk4_of(rhs_of, h):
     def advance_of(coupling):
         def advance(anchor, j):
             assert j == 1
-            return rk4_step(rhs_of(coupling), 0.0, anchor, h)
+            return rk4_step(rhs_of(coupling), anchor, h)
 
         return advance
 
@@ -836,7 +858,7 @@ def test_closed_loop_step_matches_rk4_of_rhs(case, der4, vector3):
     for scale in (1.0, 100.0, 1e4):
         for _ in range(5):
             y, coupling = random_held_state(problem, lap, rng, scale)
-            exact = rk4_step(partial(closed_loop_rhs, problem, 0.1, coupling), 0.0, y, h)
+            exact = rk4_step(partial(closed_loop_rhs, problem, 0.1, coupling), y, h)
             got = step(coupling, y)(1)[0]
             assert np.linalg.norm(got - exact) <= 1e-12 * np.linalg.norm(exact - y)
 
@@ -884,7 +906,7 @@ def test_rk4_powers_step_and_recurrence(batch):
     p, q = powers[..., :d, :], sums[..., :d, :]
     for index in np.ndindex(*batch):
         y, b = rng.standard_normal((2, d))
-        want = rk4_step(lambda t, v: a[index] @ v + b, 0.0, y, h)
+        want = rk4_step(lambda v: a[index] @ v + b, y, h)
         got = p[index] @ y + q[index] @ b
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want - y).max()
     for i in range(d, count * d, d):
@@ -911,7 +933,7 @@ def test_one_step_from_an_anchor_is_one_step_of_the_map(case, der4, vector3):
     rng = np.random.default_rng(5)
     for scale in (1.0, 1e4):
         y, coupling = random_held_state(problem, lap, rng, scale)
-        b = closed_loop_rhs(problem, delta, coupling, 0.0, np.zeros(y.size))
+        b = closed_loop_rhs(problem, delta, coupling, np.zeros(y.size))
         want = np.zeros(y.size + 1)  # the pads' slot last
         gathered = [np.append(v, 0.0)[flat][..., None] for v in (y, b)]
         want[flat] = (p @ gathered[0] + q @ gathered[1])[..., 0]
@@ -944,7 +966,7 @@ def probed_blocks(problem, delta, flat):
     above the offsets, so they drop out and the division by it is exact."""
     shape = (2, problem.n_agents, 2 * problem.m)
     size = problem.dim + math.prod(shape)
-    rhs = partial(closed_loop_rhs, problem, delta, np.zeros(shape), 0.0)
+    rhs = partial(closed_loop_rhs, problem, delta, np.zeros(shape))
     offset = rhs(np.zeros(size))
     scale = 2.0 ** (math.frexp(max(1.0, np.abs(offset).max()))[1] + 80)
     a = np.empty((problem.n_agents, flat.shape[1], flat.shape[1]))
@@ -1017,7 +1039,7 @@ def test_per_agent_field_is_closed_loop_rhs(der4, ring4):
     lap = laplacian(ring4)
     y, coupling = random_held_state(generic, lap, np.random.default_rng(3), 10.0)
     got = closed_loop_step(generic, 0.1, 1e-3)(coupling, y)(1)[0]
-    exact = rk4_step(partial(closed_loop_rhs, generic, 0.1, coupling), 0.5, y, 1e-3)
+    exact = rk4_step(partial(closed_loop_rhs, generic, 0.1, coupling), y, 1e-3)
     assert np.array_equal(got, exact)
 
 
@@ -1110,7 +1132,7 @@ def test_field_conserves_estimator_sums(n_agents, seed, delta, scale):
     lap = laplacian(random_connected_graph(n_agents, seed))
     rng = np.random.default_rng(seed)
     y, coupling = random_held_state(problem, lap, rng, scale)
-    flat = closed_loop_rhs(problem, delta, coupling, 0.0, y)
+    flat = closed_loop_rhs(problem, delta, coupling, y)
     n, k = problem.dim, 2 * n_agents * problem.m
     eta, w, eta_dot, w_dot = (
         v.reshape(n_agents, -1) for v in (y[n : n + k], y[n + k :], flat[n : n + k], flat[n + k :])

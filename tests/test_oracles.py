@@ -140,7 +140,7 @@ def test_centralized_flow_steps_are_plain_rk4(der4):
     # states keep every bit of plain RK4 steps of -grad f
     states = [X0]
     for _ in range(200):
-        states.append(rk4_step(lambda t, x: -global_gradient(der4, x), 0.0, states[-1], 1e-3))
+        states.append(rk4_step(lambda x: -global_gradient(der4, x), states[-1], 1e-3))
     traj = centralized_flow(der4, X0, h=1e-3, t_end=0.2)
     assert np.array_equal(traj.x, states)
 
@@ -150,7 +150,7 @@ def test_centralized_flow_records_its_last_step_off_the_stride(der4):
     # early stop's does
     states = [X0]
     for _ in range(12):
-        states.append(rk4_step(lambda t, x: -global_gradient(der4, x), 0.0, states[-1], 1e-3))
+        states.append(rk4_step(lambda x: -global_gradient(der4, x), states[-1], 1e-3))
     traj = centralized_flow(der4, X0, h=1e-3, t_end=0.012, stride=5)
     assert traj.times.tolist() == [0.0, 5 * 1e-3, 10 * 1e-3, 12 * 1e-3]
     assert np.array_equal(traj.x, np.array(states)[[0, 5, 10, 12]])

@@ -21,7 +21,7 @@ from aggopt import (
     with_frozen_decisions,
 )
 from aggopt.engine import closed_loop_rhs
-from aggopt.problems import PerAgent, Quadratic, theta
+from aggopt.problems import PerAgent, Quadratic
 
 
 def single_unit(a=1.0, b=0.0, d=0.0):
@@ -306,7 +306,7 @@ def test_per_agent_shape_errors_name_agent_and_callable(vector3, name, bad, got,
     y = np.ones(problem.dim + math.prod(shape))
     message = rf"agent 1: {name} returned shape {re.escape(str(got))}, expected {re.escape(str(want))}"
     with pytest.raises(ValueError, match=message):
-        closed_loop_rhs(problem, 0.1, np.zeros(shape), 0.0, y)
+        closed_loop_rhs(problem, 0.1, np.zeros(shape), y)
 
 
 @pytest.mark.parametrize(
@@ -400,8 +400,9 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="aggregation dimension"):
         AggregativeProblem(agents=agents, m=0)
     mismatched = dataclasses.replace(agents[0], grad_sigma=lambda x, s: np.zeros(2))
-    with pytest.raises(ValueError, match="m-vectors"):
-        theta(mismatched, np.ones(1), np.ones(1))
+    # a one-agent network's Theta checks the shapes its agent returns
+    with pytest.raises(ValueError, match=r"agent 0: grad_sigma returned shape \(2,\), .*m-vectors"):
+        PerAgent((mismatched,), 1).theta(np.ones(1), np.ones((1, 1)))
 
 
 def test_rate_metadata_none_without_positive_definite_hessian():
